@@ -7,7 +7,7 @@ from .asymptotics import (CoefficientMode, Covariance2, QuadraticInfluence,
                           SigmaMethod, covariance_exact_moments,
                           covariance_exact_quadrature, covariance_plugin,
                           covariance_replication, delta_gradient,
-                          influence_pair)
+                          influence_pair, sigma_for)
 from .errors import (DegenerateSampleError, DomainError,
                      InfeasibleMomentError, InsufficientDataError,
                      MomentDomainError, MomestError, QuadratureError,
@@ -33,7 +33,7 @@ __all__ = [
     "CoefficientMode", "Covariance2", "QuadraticInfluence", "SigmaMethod",
     "covariance_exact_moments", "covariance_exact_quadrature",
     "covariance_plugin", "covariance_replication", "delta_gradient",
-    "influence_pair",
+    "influence_pair", "sigma_for",
     "DegenerateSampleError", "DomainError", "InfeasibleMomentError",
     "InsufficientDataError", "MomentDomainError", "MomestError",
     "QuadratureError", "SampleParseError", "SingularCovarianceError",

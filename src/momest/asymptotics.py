@@ -20,8 +20,8 @@ Coefficient modes:
   2 mu (sigma^2 + 1) / sigma^4 where the true gradient has
   2 mu (sigma^2 + mu^2) / sigma^4 -- and for the Fisher H the normalizing
   denominator is likewise off; both are kept exactly as printed on purpose.
-  Beta and Uniform verbatim coefficients agree with the canonical gradient
-  algebraically.
+  The printed Beta and Uniform coefficients are the canonical gradient, so
+  verbatim mode returns :func:`delta_gradient` for those two laws.
 
 The four covariance routes:
 
@@ -43,7 +43,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, MomestError
 from .estimation import HALF_WIDTH_FACTOR
 from .laws import LawKind, LawSpec, pdf, quantile, theoretical_moments
 from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, trapezoid_integrate
@@ -59,6 +59,7 @@ __all__ = [
     "covariance_exact_quadrature",
     "covariance_plugin",
     "covariance_replication",
+    "sigma_for",
 ]
 
 #: Quantile-level truncation of unbounded/singular supports in quadrature.
@@ -108,9 +109,7 @@ class QuadraticInfluence:
 
     def evaluate(self, x):
         """Centered influence value(s) at x."""
-        xs = np.asarray(x, dtype=float)
-        out = self.c1 * xs + self.c2 * xs * xs - self.center
-        return float(out) if out.ndim == 0 else out
+        return self.raw(x) - self.center
 
     def raw(self, x):
         """Uncentered c1 * x + c2 * x^2."""
@@ -217,6 +216,8 @@ def influence_pair(
 
 def _verbatim_coefficients(kind: LawKind, m1: float, m2: float
                            ) -> Tuple[float, float, float, float]:
+    if kind in (LawKind.BETA, LawKind.UNIFORM):
+        return delta_gradient(kind, m1, m2)
     mu = m1
     s2 = m2 - m1 * m1
     _need(s2 > 0.0, f"verbatim coefficients require m2 > m1^2, got {s2}")
@@ -227,18 +228,6 @@ def _verbatim_coefficients(kind: LawKind, m1: float, m2: float
         # (sigma^2 + 2 mu^2)
         return (2.0 * mu * (s2 + 1.0) / s4, -mu * mu / s4,
                 (s2 + 2.0 * mu) / s4, -mu / s4)
-    if kind is LawKind.BETA:
-        # algebraically identical to the canonical gradient
-        return ((s2 * (2.0 * mu - m2) + 2.0 * mu * mu * (mu - m2)) / s4,
-                -(s2 * mu + mu * (mu - m2)) / s4,
-                (s2 * (m2 - 2.0 * mu + 1.0)
-                 + 2.0 * mu * (1.0 - mu) * (mu - m2)) / s4,
-                (mu - 1.0) * (s2 + mu - m2) / s4)
-    if kind is LawKind.UNIFORM:
-        s = math.sqrt(s2)
-        lam = HALF_WIDTH_FACTOR
-        return (1.0 + lam * mu / s, -lam / (2.0 * s),
-                1.0 - lam * mu / s, lam / (2.0 * s))
     # Fisher: the printed normalizer, which differs from the true
     # denominator (2 - mu) sigma^2 - mu^2 (mu - 1) of the gradient
     _need(mu > 1.0, f"fisher coefficients require m1 > 1, got {mu}")
@@ -370,3 +359,20 @@ def covariance_replication(dev_a, dev_b) -> Covariance2:
     c = np.cov(da, db, ddof=1)
     return Covariance2.build(float(c[0, 0]), float(c[1, 1]), float(c[0, 1]),
                              SigmaMethod.REPLICATION)
+
+
+def sigma_for(method: SigmaMethod, law: LawSpec, h: QuadraticInfluence,
+              l: QuadraticInfluence, sample=None) -> Covariance2:
+    """Covariance of the influence pair (h, l) under ``law`` by ``method``.
+
+    The exact routes use ``law`` alone, the plugin route the observed
+    ``sample``.  The replication route needs replicated runs and is
+    refused here.
+    """
+    if method is SigmaMethod.EXACT_MOMENTS:
+        return covariance_exact_moments(law, h, l)
+    if method is SigmaMethod.EXACT_QUADRATURE:
+        return covariance_exact_quadrature(law, h, l)
+    if method is SigmaMethod.PLUGIN:
+        return covariance_plugin(sample, h, l)
+    raise MomestError("replication sigma needs replicated runs; use simulate")

@@ -27,6 +27,8 @@ import csv
 import io
 import os
 import sys
+from dataclasses import asdict
+from math import isfinite
 from pathlib import Path
 from typing import Optional
 
@@ -34,14 +36,14 @@ import numpy as np
 
 from .asymptotics import (CoefficientMode, SigmaMethod,
                           covariance_exact_moments,
-                          covariance_exact_quadrature, covariance_plugin,
-                          influence_pair)
+                          covariance_exact_quadrature, influence_pair,
+                          sigma_for)
 from .errors import MomestError, SampleParseError, SingularCovarianceError
 from .estimation import empirical_moments, estimate
 from .laws import LawKind, LawSpec
 from .montecarlo import (DEFAULT_SIGMA_METHODS, SimulationConfig,
                          run_simulation)
-from .reportio import render_json, write_report
+from .reportio import _sigma_dict, render_json, write_report
 from .significance import marginal_test, omnibus_test
 from .special import QuadratureConfig
 
@@ -137,10 +139,14 @@ def _parse_lines(text: str, path: str) -> list[float]:
         if not payload:
             continue
         try:
-            values.append(float(payload))
+            value = float(payload)
         except ValueError:
             raise SampleParseError(
                 f"{path}:{lineno}: could not parse {payload!r} as a number")
+        if not isfinite(value):
+            raise SampleParseError(
+                f"{path}:{lineno}: {payload!r} is not a finite number")
+        values.append(value)
     return values
 
 
@@ -156,10 +162,14 @@ def _parse_csv(text: str, column: str, path: str) -> list[float]:
         if not cell:
             continue
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
             raise SampleParseError(
                 f"{path}:{lineno}: could not parse {cell!r} as a number")
+        if not isfinite(value):
+            raise SampleParseError(
+                f"{path}:{lineno}: {cell!r} is not a finite number")
+        values.append(value)
     return values
 
 
@@ -171,9 +181,7 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 
 
 def _cov_dict(sigma) -> dict:
-    return {"s11": sigma.s11, "s22": sigma.s22, "s12": sigma.s12,
-            "det": sigma.det, "correlation": sigma.correlation,
-            "method": sigma.method.value}
+    return {**_sigma_dict(sigma), "correlation": sigma.correlation}
 
 
 def cmd_coeffs(args) -> int:
@@ -186,8 +194,8 @@ def cmd_coeffs(args) -> int:
     payload = {
         "law": str(law),
         "mode": args.mode.value,
-        "influence_a": {"c1": h.c1, "c2": h.c2, "center": h.center},
-        "influence_b": {"c1": l.c1, "c2": l.c2, "center": l.center},
+        "influence_a": asdict(h),
+        "influence_b": asdict(l),
         "sigma_exact_moments": _cov_dict(sig_m),
         "sigma_exact_quadrature": _cov_dict(sig_q),
     }
@@ -236,32 +244,19 @@ def cmd_test(args) -> int:
     em = empirical_moments(values)
     est = estimate(args.kind, em)
     h, l = influence_pair(law0, args.mode)
-    if args.sigma is SigmaMethod.EXACT_MOMENTS:
-        sigma = covariance_exact_moments(law0, h, l)
-    elif args.sigma is SigmaMethod.EXACT_QUADRATURE:
-        sigma = covariance_exact_quadrature(law0, h, l)
-    elif args.sigma is SigmaMethod.PLUGIN:
-        sigma = covariance_plugin(values, h, l)
-    else:
-        raise MomestError(
-            "replication sigma needs replicated runs; use simulate")
+    sigma = sigma_for(args.sigma, law0, h, l, values)
     rep_a = marginal_test(est.a_hat, args.a0, sigma.s11, em.n,
                           sigma.method.value)
     rep_b = marginal_test(est.b_hat, args.b0, sigma.s22, em.n,
                           sigma.method.value)
     rep_q = omnibus_test(est.a_hat, est.b_hat, args.a0, args.b0, em.n, sigma)
 
-    def rep_dict(r):
-        return {"statistic": r.statistic, "df": r.df, "p_value": r.p_value,
-                "reject_at_5pct": r.reject_at_5pct,
-                "sigma_method": r.sigma_method}
-
     payload = {
         "law": str(law0), "n": em.n,
         "a_hat": est.a_hat, "b_hat": est.b_hat,
-        "marginal_a": rep_dict(rep_a),
-        "marginal_b": rep_dict(rep_b),
-        "omnibus": rep_dict(rep_q),
+        "marginal_a": asdict(rep_a),
+        "marginal_b": asdict(rep_b),
+        "omnibus": asdict(rep_q),
     }
     lines = [
         f"H0: {law0}   n={em.n}   sigma={sigma.method.value}",

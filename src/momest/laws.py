@@ -120,26 +120,11 @@ class MomentSet:
                 f"{_ORDINALS[order]} moment requires {need}")
         return value
 
-    def require_variance(self) -> float:
-        if self.variance is None:
-            need = self.constraint.format(k=2, bound=4)
-            raise MomentDomainError(f"variance requires {need}")
-        return self.variance
-
-
-def _as_array(x: ArrayLike) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr: np.ndarray, scalar: bool) -> ArrayLike:
-    return float(arr) if scalar else arr
-
 
 def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     """Density of ``law`` at ``x``; zero outside the support."""
     a, b = law.p1, law.p2
-    raw, scalar = _as_array(x)
+    raw, scalar = special._prepare(x)
     xs = np.atleast_1d(raw)
     out = np.zeros_like(xs)
     if law.kind is LawKind.UNIFORM:
@@ -179,13 +164,13 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
             out[xs == 0.0] = 1.0
         elif a < 2.0:
             out[xs == 0.0] = np.inf
-    return _ret(out.reshape(raw.shape), scalar)
+    return special._finish(out.reshape(raw.shape), scalar)
 
 
 def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     """Cumulative distribution function of ``law`` at ``x``."""
     a, b = law.p1, law.p2
-    xs, scalar = _as_array(x)
+    xs, scalar = special._prepare(x)
     if law.kind is LawKind.UNIFORM:
         out = np.clip((xs - a) / (b - a), 0.0, 1.0)
     elif law.kind is LawKind.GAMMA:
@@ -196,13 +181,13 @@ def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
         pos = np.maximum(xs, 0.0)
         y = a * pos / (a * pos + b)
         out = np.asarray(special.reg_inc_beta(0.5 * a, 0.5 * b, y))
-    return _ret(out, scalar)
+    return special._finish(out, scalar)
 
 
 def quantile(law: LawSpec, u: ArrayLike) -> ArrayLike:
     """Quantile (generalized inverse cdf) of ``law`` at u in (0, 1)."""
     a, b = law.p1, law.p2
-    us, scalar = _as_array(u)
+    us, scalar = special._prepare(u)
     if np.any((us <= 0.0) | (us >= 1.0)):
         raise DomainError("quantile requires u strictly inside (0, 1)")
     if law.kind is LawKind.UNIFORM:
@@ -214,7 +199,7 @@ def quantile(law: LawSpec, u: ArrayLike) -> ArrayLike:
     else:  # Fisher
         y = np.asarray(special.reg_inc_beta_inv(0.5 * a, 0.5 * b, us))
         out = b * y / (a * (1.0 - y))
-    return _ret(out, scalar)
+    return special._finish(out, scalar)
 
 
 def sample(law: LawSpec, n: int, seed: int) -> np.ndarray:

@@ -20,6 +20,7 @@ aggregation runs in replication order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -27,16 +28,15 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .asymptotics import (CoefficientMode, Covariance2, QuadraticInfluence,
-                          SigmaMethod, covariance_exact_moments,
-                          covariance_exact_quadrature, covariance_replication,
-                          influence_pair)
+                          SigmaMethod, covariance_plugin,
+                          covariance_replication, influence_pair, sigma_for)
 from .errors import (DegenerateSampleError, DomainError,
                      InsufficientDataError, MomestError)
 from .estimation import empirical_moments, estimate
 from .laws import LawSpec, sample
 from .rng import substream_seed
 from .significance import Z_CRIT_5PCT, det_floor
-from .special import DEFAULT_QUAD_CONFIG, chisq_quantile, normal_quantile
+from .special import chisq_quantile, normal_quantile
 
 __all__ = [
     "SimulationConfig",
@@ -191,14 +191,12 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
         except DegenerateSampleError:
             infeasible += 1
             continue
-        hv = h.evaluate(x)
-        lv = l.evaluate(x)
-        c = np.cov(hv, lv, ddof=1)
+        sig = covariance_plugin(x, h, l)
         a_hat.append(est.a_hat)
         b_hat.append(est.b_hat)
-        sd_h.append(float(np.sqrt(c[0, 0])))
-        sd_l.append(float(np.sqrt(c[1, 1])))
-        cov_hl.append(float(c[0, 1]))
+        sd_h.append(math.sqrt(sig.s11))
+        sd_l.append(math.sqrt(sig.s22))
+        cov_hl.append(sig.s12)
     return a_hat, b_hat, sd_h, sd_l, cov_hl, infeasible
 
 
@@ -212,11 +210,11 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
     law, n, b_total = cfg.law, cfg.n, cfg.replications
     h, l = influence_pair(law, cfg.coefficient_mode)
 
-    sigma_em = (covariance_exact_moments(law, h, l)
-                if SigmaMethod.EXACT_MOMENTS in cfg.sigma_methods else None)
-    sigma_eq = (covariance_exact_quadrature(law, h, l, DEFAULT_QUAD_CONFIG)
-                if SigmaMethod.EXACT_QUADRATURE in cfg.sigma_methods else None)
-    sigma_exact = sigma_em if sigma_em is not None else sigma_eq
+    exact_routes = (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE)
+    sigmas = {m: sigma_for(m, law, h, l)
+              for m in exact_routes if m in cfg.sigma_methods}
+    sigma_exact = sigmas.get(SigmaMethod.EXACT_MOMENTS,
+                             sigmas.get(SigmaMethod.EXACT_QUADRATURE))
 
     bounds = _chunk_bounds(b_total, workers)
     if workers <= 1 or len(bounds) <= 1:
@@ -242,17 +240,18 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
     dev_b = np.sqrt(n) * (b_hat - law.p2)
     err_a, err_b = error_table(a_hat, b_hat, law.p1, law.p2)
 
-    sigma_rep = (covariance_replication(dev_a, dev_b)
-                 if SigmaMethod.REPLICATION in cfg.sigma_methods else None)
-    sigma_plug = None
+    if SigmaMethod.REPLICATION in cfg.sigma_methods:
+        sigmas[SigmaMethod.REPLICATION] = covariance_replication(dev_a, dev_b)
     if SigmaMethod.PLUGIN in cfg.sigma_methods:
         p11, p22, p12 = _aggregate_plugin(sd_h, sd_l, cov_hl,
                                           cfg.coefficient_mode)
         # aggregated across replications; not guaranteed PSD, so built
         # without the Cauchy-Schwarz check
-        sigma_plug = Covariance2(s11=p11, s22=p22, s12=p12,
-                                 det=p11 * p22 - p12 * p12,
-                                 method=SigmaMethod.PLUGIN)
+        sigmas[SigmaMethod.PLUGIN] = Covariance2(
+            s11=p11, s22=p22, s12=p12, det=p11 * p22 - p12 * p12,
+            method=SigmaMethod.PLUGIN)
+    sigma_rep = sigmas.get(SigmaMethod.REPLICATION)
+    sigma_plug = sigmas.get(SigmaMethod.PLUGIN)
 
     ratios = None
     if sigma_exact is not None and sigma_rep is not None:
@@ -268,7 +267,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
         sigma_exact=sigma_exact, sigma_plugin=sigma_plug,
         sigma_replication=sigma_rep, ratios=ratios,
     )
-    _attach_rates(report, sigma_em, sigma_eq)
+    _attach_rates(report, sigmas)
     return report
 
 
@@ -280,20 +279,11 @@ def _chunk_bounds(b_total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _attach_rates(report: SimulationReport,
-                  sigma_em: Optional[Covariance2],
-                  sigma_eq: Optional[Covariance2]) -> None:
+                  sigmas: Dict[SigmaMethod, Covariance2]) -> None:
     """Empirical rejection rates of the marginal and omnibus tests for every
     selected covariance method."""
-    sigmas = {
-        SigmaMethod.EXACT_MOMENTS: sigma_em,
-        SigmaMethod.EXACT_QUADRATURE: sigma_eq,
-        SigmaMethod.PLUGIN: report.sigma_plugin,
-        SigmaMethod.REPLICATION: report.sigma_replication,
-    }
     for method in report.config.sigma_methods:
-        sig = sigmas.get(method)
-        if sig is None:
-            continue
+        sig = sigmas[method]
         tag = method.value
         for param, dev in (("a", report.dev_a), ("b", report.dev_b)):
             var_entry = sig.s11 if param == "a" else sig.s22

@@ -20,6 +20,7 @@ Floats are rendered with ``repr``, the shortest round-trip decimal form.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -68,10 +69,8 @@ def report_to_dict(report: SimulationReport) -> dict:
             "sigma_methods": [m.value for m in cfg.sigma_methods],
         },
         "influence": {
-            "a": {"c1": report.influence_a.c1, "c2": report.influence_a.c2,
-                  "center": report.influence_a.center},
-            "b": {"c1": report.influence_b.c1, "c2": report.influence_b.c2,
-                  "center": report.influence_b.center},
+            "a": asdict(report.influence_a),
+            "b": asdict(report.influence_b),
         },
         "feasible": report.feasible,
         "infeasible": report.infeasible_count,

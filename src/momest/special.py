@@ -188,13 +188,12 @@ COARSE_QUAD_CONFIG = QuadratureConfig(panels=100, tol=1e-4, max_doublings=16)
 
 
 def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a grid, accepting vectorized or scalar-only callables."""
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ys = np.array([float(f(float(x))) for x in xs])
+    """Evaluate the vectorised integrand f on a grid."""
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise DomainError(
+            f"integrand returned shape {ys.shape} on a grid of shape "
+            f"{xs.shape}; it must be vectorised")
     bad = ~np.isfinite(ys)
     if bad.any():
         x_bad = float(xs[bad][0])
@@ -214,7 +213,9 @@ def trapezoid_integrate(
     Starts from ``cfg.panels`` uniform panels on [lo, hi] and doubles the
     panel count (re-using previous evaluations) until two successive
     estimates differ by less than ``cfg.tol`` or ``cfg.max_doublings`` is
-    reached; the last estimate is returned either way.  Raises
+    reached; the last estimate is returned either way.  ``f`` must be
+    vectorised: it maps an array of abscissae to an array of the same shape,
+    and any other shape raises :class:`DomainError`.  Raises
     :class:`QuadratureError` if the integrand is non-finite anywhere on the
     closed interval.
     """

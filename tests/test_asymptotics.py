@@ -11,10 +11,11 @@ import pytest
 
 from momest import (CoefficientMode, Covariance2, DomainError,
                     EmpiricalMoments, InsufficientDataError, LawKind, LawSpec,
-                    MomentDomainError, QuadraticInfluence, SigmaMethod,
-                    covariance_exact_moments, covariance_exact_quadrature,
-                    covariance_plugin, covariance_replication, delta_gradient,
-                    estimate, influence_pair, sample, theoretical_moments)
+                    MomentDomainError, MomestError, QuadraticInfluence,
+                    SigmaMethod, covariance_exact_moments,
+                    covariance_exact_quadrature, covariance_plugin,
+                    covariance_replication, delta_gradient, estimate,
+                    influence_pair, sample, sigma_for, theoretical_moments)
 
 GAMMA23 = LawSpec.gamma(2.0, 3.0)
 
@@ -104,8 +105,7 @@ class TestInfluencePair:
         for law in (LawSpec.beta(2.0, 3.0), LawSpec.uniform(0.0, 1.0)):
             hc, lc = influence_pair(law, CoefficientMode.CANONICAL)
             hv, lv = influence_pair(law, CoefficientMode.VERBATIM)
-            assert (hv.c1, hv.c2) == pytest.approx((hc.c1, hc.c2), rel=1e-12)
-            assert (lv.c1, lv.c2) == pytest.approx((lc.c1, lc.c2), rel=1e-12)
+            assert (hv, lv) == (hc, lc)
 
     @pytest.mark.parametrize("law", list(FROZEN), ids=str)
     def test_centering_by_quadrature(self, law):
@@ -201,6 +201,24 @@ class TestExactQuadrature:
             is SigmaMethod.EXACT_MOMENTS
         assert covariance_exact_quadrature(GAMMA23, h, l).method \
             is SigmaMethod.EXACT_QUADRATURE
+
+
+class TestSigmaFor:
+    def test_matches_each_route(self):
+        h, l = influence_pair(GAMMA23)
+        x = sample(GAMMA23, 500, 9)
+        assert sigma_for(SigmaMethod.EXACT_MOMENTS, GAMMA23, h, l) \
+            == covariance_exact_moments(GAMMA23, h, l)
+        assert sigma_for(SigmaMethod.EXACT_QUADRATURE, GAMMA23, h, l) \
+            == covariance_exact_quadrature(GAMMA23, h, l)
+        assert sigma_for(SigmaMethod.PLUGIN, GAMMA23, h, l, x) \
+            == covariance_plugin(x, h, l)
+
+    def test_refuses_replication(self):
+        h, l = influence_pair(GAMMA23)
+        with pytest.raises(MomestError, match="use simulate"):
+            sigma_for(SigmaMethod.REPLICATION, GAMMA23, h, l,
+                      sample(GAMMA23, 50, 9))
 
 
 class TestPlugin:

@@ -28,6 +28,16 @@ def write_sample(tmp_path, values, name="sample.txt"):
     return str(path)
 
 
+def child_env():
+    """Environment for a child interpreter that imports the same momest
+    package as this test, whether or not PYTHONPATH is set."""
+    package_root = str(Path(momest.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestCoeffs:
     def test_canonical_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "gamma", "2", "3",
@@ -131,6 +141,34 @@ class TestEstimate:
         doc = json.loads(out)
         assert doc["a_hat"] == pytest.approx(10.0, rel=0.02)
         assert doc["b_hat"] == pytest.approx(3.0, rel=0.02)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", [
+        ("estimate", "uniform"), ("estimate", "gamma"),
+        ("test", "uniform", "0", "1")])
+    def test_plain_rejected_with_line(self, capsys, tmp_path, command,
+                                      token):
+        path = tmp_path / "sample.txt"
+        path.write_text(f"0.25\n# comment\n0.5\n{token}\n0.75\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, "--input", str(path),
+                                 "--format", "json")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"{path}:4: '{token}' is not a finite number" in err
+
+    @pytest.mark.parametrize("command", [
+        ("estimate", "uniform"), ("test", "gamma", "2", "3")])
+    def test_csv_rejected_with_line(self, capsys, tmp_path, command):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,x\n1,0.25\n2,NaN\n3,0.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, "--input", str(path),
+                                 "--column", "x", "--format", "json")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"{path}:3: 'NaN' is not a finite number" in err
 
 
 class TestTestCommand:
@@ -253,8 +291,8 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "momest.cli", "coeffs", "uniform", "0",
              "1", "--format", "json"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["influence_a"]["c1"] == pytest.approx(4.0, rel=1e-10)
 
@@ -272,17 +310,13 @@ class TestEntryPoint:
         module, func = target.split(":")
         wrapper = (f"import sys; from {module} import {func}; "
                    f"sys.argv[0] = 'momest'; sys.exit({func}())")
-        # the child imports the same momest package as this test
-        package_root = str(Path(momest.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p)
         commands = [[sys.executable, "-c", wrapper]]
         installed = shutil.which("momest")
         if installed:
             commands.append([installed])
         for command in commands:
             proc = subprocess.run(command + ["coeffs", "gamma", "2", "3"],
-                                  capture_output=True, text=True, env=env)
+                                  capture_output=True, text=True,
+                                  env=child_env())
             assert proc.returncode == 0, proc.stderr
             assert "s11=12" in proc.stdout

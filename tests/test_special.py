@@ -193,10 +193,13 @@ class TestTrapezoid:
         assert got == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_scalar_only_callable(self):
-        got = trapezoid_integrate(lambda x: float(x) ** 2, 0.0, 1.0,
-                                  QuadratureConfig(panels=64, tol=1e-10,
-                                                   max_doublings=8))
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-5)
+        # integrands must be vectorised; the integrand's own error surfaces
+        with pytest.raises(TypeError):
+            trapezoid_integrate(lambda x: float(x) ** 2, 0.0, 1.0)
+
+    def test_wrong_shape_integrand(self):
+        with pytest.raises(DomainError, match="shape"):
+            trapezoid_integrate(lambda x: x.sum(), 0.0, 1.0)
 
     def test_nonfinite_reports_abscissa(self):
         def f(x):
