@@ -32,10 +32,11 @@ print(f"kernel density: bandwidth {bw:.4f}, "
       f"peak {peak[1]:.4f} at x={peak[0]:+.3f} "
       f"(standard normal peaks at 0.3989 at 0)")
 
-outdir = Path(tempfile.mkdtemp(prefix="momest-demo-"))
-paths = write_report(report, outdir)
-print(f"\nreport bundle written to {outdir}:")
-for p in paths:
-    print(f"  {p.name}")
+with tempfile.TemporaryDirectory(prefix="momest-demo-") as tmp:
+    outdir = Path(tmp)
+    paths = write_report(report, outdir)
+    print(f"\nreport bundle written to {outdir}:")
+    for p in paths:
+        print(f"  {p.name}")
 print("\nqq_*.csv and parzen_*.csv are the two-column figure files; "
       "report.json carries the full summary.")

@@ -7,20 +7,20 @@ from .asymptotics import (CoefficientMode, Covariance2, QuadraticInfluence,
                           SigmaMethod, covariance_exact_moments,
                           covariance_exact_quadrature, covariance_plugin,
                           covariance_replication, delta_gradient,
-                          influence_pair, sigma_for)
+                          influence_pair, plugin_rows, sigma_for)
 from .errors import (DegenerateSampleError, DomainError,
                      InfeasibleMomentError, InsufficientDataError,
                      MomentDomainError, MomestError, QuadratureError,
                      SampleParseError, SingularCovarianceError)
 from .estimation import (EmpiricalMoments, ParamEstimate, empirical_moments,
-                         estimate)
+                         estimate, estimate_rows)
 from .laws import (LawKind, LawSpec, MomentSet, cdf, pdf, quantile, sample,
-                   theoretical_moments)
+                   sample_rows, theoretical_moments)
 from .montecarlo import (ErrorStats, SimulationConfig, SimulationReport,
                          error_table, parzen_density, qq_plot_data,
                          ratio_table, run_simulation, silverman_bandwidth)
 from .reportio import report_to_dict, write_report
-from .rng import Stream, substream_seed
+from .rng import RowStreams, Stream, substream_seed
 from .significance import TestReport, marginal_test, omnibus_test
 from .special import (COARSE_QUAD_CONFIG, DEFAULT_QUAD_CONFIG,
                       QuadratureConfig, chisq_cdf, chisq_quantile, chisq_sf,
@@ -33,18 +33,19 @@ __all__ = [
     "CoefficientMode", "Covariance2", "QuadraticInfluence", "SigmaMethod",
     "covariance_exact_moments", "covariance_exact_quadrature",
     "covariance_plugin", "covariance_replication", "delta_gradient",
-    "influence_pair", "sigma_for",
+    "influence_pair", "plugin_rows", "sigma_for",
     "DegenerateSampleError", "DomainError", "InfeasibleMomentError",
     "InsufficientDataError", "MomentDomainError", "MomestError",
     "QuadratureError", "SampleParseError", "SingularCovarianceError",
     "EmpiricalMoments", "ParamEstimate", "empirical_moments", "estimate",
+    "estimate_rows",
     "LawKind", "LawSpec", "MomentSet", "cdf", "pdf", "quantile", "sample",
-    "theoretical_moments",
+    "sample_rows", "theoretical_moments",
     "ErrorStats", "SimulationConfig", "SimulationReport", "error_table",
     "parzen_density", "qq_plot_data", "ratio_table", "run_simulation",
     "silverman_bandwidth",
     "report_to_dict", "write_report",
-    "Stream", "substream_seed",
+    "RowStreams", "Stream", "substream_seed",
     "TestReport", "marginal_test", "omnibus_test",
     "COARSE_QUAD_CONFIG", "DEFAULT_QUAD_CONFIG", "QuadratureConfig",
     "chisq_cdf", "chisq_quantile", "chisq_sf", "ln_gamma", "normal_cdf",

@@ -30,7 +30,8 @@ The four covariance routes:
 * exact-quadrature: trapezoid integration of the influence functions against
   the density over the truncated support [Q(eps), Q(1-eps)], eps = 1e-9,
   with geometric upper-tail extension for unbounded supports,
-* plugin: sample variance/covariance of the influence values on one sample,
+* plugin: sample variance/covariance of the influence values on one sample
+  (:func:`plugin_rows` computes it for every row of a sample block),
 * replication: sample covariance of replicated sqrt(n) deviations.
 """
 
@@ -59,6 +60,7 @@ __all__ = [
     "covariance_exact_quadrature",
     "covariance_plugin",
     "covariance_replication",
+    "plugin_rows",
     "sigma_for",
 ]
 
@@ -138,18 +140,36 @@ class Covariance2:
     @classmethod
     def build(cls, s11: float, s22: float, s12: float,
               method: SigmaMethod) -> "Covariance2":
-        scale = max(1.0, abs(s11), abs(s22))
-        tol = 1e-9 * scale
-        if s11 < -tol or s22 < -tol:
-            raise DomainError(
-                f"negative variance entries: s11={s11}, s22={s22}")
-        s11, s22 = max(s11, 0.0), max(s22, 0.0)
-        if abs(s12) > math.sqrt(s11 * s22) + tol:
-            raise DomainError(
-                f"covariance violates |s12| <= sqrt(s11 s22): "
-                f"s11={s11}, s22={s22}, s12={s12}")
+        s11, s22 = _clamp_entries(s11, s22, s12)
         return cls(s11=float(s11), s22=float(s22), s12=float(s12),
                    det=float(s11 * s22 - s12 * s12), method=method)
+
+
+def _clamp_entries(s11, s22, s12):
+    """(s11, s22) with round-off negatives clamped to zero; raises
+    :class:`DomainError` for a clearly negative variance or a covariance
+    breaking Cauchy-Schwarz.  Works on floats and, entry by entry, on
+    arrays, where the first offending entry is reported."""
+    tol = 1e-9 * np.maximum(np.maximum(np.abs(s11), np.abs(s22)), 1.0)
+    negative = (s11 < -tol) | (s22 < -tol)
+    if np.any(negative):
+        i = np.flatnonzero(negative)[0]
+        raise DomainError(
+            f"negative variance entries: s11={_entry(s11, i)}, "
+            f"s22={_entry(s22, i)}")
+    s11, s22 = np.maximum(s11, 0.0), np.maximum(s22, 0.0)
+    broken = np.abs(s12) > np.sqrt(s11 * s22) + tol
+    if np.any(broken):
+        i = np.flatnonzero(broken)[0]
+        raise DomainError(
+            f"covariance violates |s12| <= sqrt(s11 s22): "
+            f"s11={_entry(s11, i)}, s22={_entry(s22, i)}, "
+            f"s12={_entry(s12, i)}")
+    return s11, s22
+
+
+def _entry(values, i: int) -> float:
+    return float(np.ravel(values)[i])
 
 
 def delta_gradient(kind: LawKind, m1: float, m2: float
@@ -339,11 +359,30 @@ def covariance_plugin(sample, h: QuadraticInfluence,
     if x.size < 2:
         raise InsufficientDataError(
             f"plugin covariance needs n >= 2, got {x.size}")
-    hv = h.evaluate(x)
-    lv = l.evaluate(x)
-    c = np.cov(hv, lv, ddof=1)
-    return Covariance2.build(float(c[0, 0]), float(c[1, 1]), float(c[0, 1]),
+    s11, s22, s12 = plugin_rows(x[None, :], h, l)
+    return Covariance2.build(float(s11[0]), float(s22[0]), float(s12[0]),
                              SigmaMethod.PLUGIN)
+
+
+def plugin_rows(x, h: QuadraticInfluence, l: QuadraticInfluence) -> tuple:
+    """Plugin (s11, s22, s12) arrays, one entry per row of the 2-D sample
+    block ``x``, checked and clamped as :meth:`Covariance2.build` does.
+
+    Bit for bit ``np.cov`` of each row's influence values: the centred
+    stack of H and L values is multiplied by its transpose, which runs the
+    same BLAS product as ``np.cov``, and scaled by 1/(n-1).
+    """
+    x = np.asarray(x, dtype=float)
+    rows, n = x.shape
+    stack = np.empty((rows, 2, n))
+    stack[:, 0] = h.evaluate(x)
+    stack[:, 1] = l.evaluate(x)
+    stack -= np.add.reduce(stack, axis=2, keepdims=True) / n
+    c = np.matmul(stack, stack.transpose(0, 2, 1))
+    c *= 1.0 / (n - 1)
+    s12 = c[:, 0, 1]
+    s11, s22 = _clamp_entries(c[:, 0, 0], c[:, 1, 1], s12)
+    return s11, s22, s12
 
 
 def covariance_replication(dev_a, dev_b) -> Covariance2:

@@ -12,7 +12,9 @@ S2 the unbiased variance (divisor n-1):
 
 Each map is only defined under the positivity conditions checked in
 :func:`estimate`; violations raise typed errors naming the condition so that
-the Monte-Carlo harness can count infeasible replications.
+the Monte-Carlo harness can count infeasible replications.  The conditions
+and the maps are written once and evaluate on floats and on arrays alike:
+:func:`estimate_rows` applies them to every row of a sample block at once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSampleError, InfeasibleMomentError,
-                     InsufficientDataError)
+from .errors import (DegenerateSampleError, DomainError,
+                     InfeasibleMomentError, InsufficientDataError)
 from .laws import LawKind
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "ParamEstimate",
     "empirical_moments",
     "estimate",
+    "estimate_rows",
 ]
 
 #: sqrt(12)/2, the half-width of a uniform law per standard deviation.
@@ -62,7 +65,8 @@ def empirical_moments(sample) -> EmpiricalMoments:
 
     Uses the two-pass variance so that var_biased >= 0 holds exactly;
     mean_sq is reconstructed as var_biased + mean^2, keeping the identity
-    between the three fields exact in floating point.
+    between the three fields exact in floating point.  Non-finite values
+    raise :class:`DomainError`.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1:
@@ -71,53 +75,116 @@ def empirical_moments(sample) -> EmpiricalMoments:
     if n < 2:
         raise InsufficientDataError(
             f"need at least 2 observations, got {n}")
-    mean = float(np.mean(x))
-    var_biased = float(np.var(x))
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x))
+        raise DomainError(
+            f"sample has {bad.size} non-finite value(s), the first at "
+            f"index {bad[0]}")
+    mean, var_biased = (float(v[0]) for v in _row_moments(x[None, :]))
+    mean_sq, var_unbiased = _derived(mean, var_biased, n)
     return EmpiricalMoments(
         n=n,
         mean=mean,
-        mean_sq=var_biased + mean * mean,
-        var_unbiased=var_biased * n / (n - 1),
+        mean_sq=mean_sq,
+        var_unbiased=var_unbiased,
         var_biased=var_biased,
     )
 
 
+def _row_moments(x: np.ndarray) -> tuple:
+    """Mean and biased two-pass variance of every row of ``x``, bit for bit
+    ``np.mean`` and ``np.var``, sharing the first pass."""
+    n = x.shape[1]
+    mean = np.add.reduce(x, axis=1) / n
+    dev = x - mean[:, None]
+    dev *= dev
+    return mean, np.add.reduce(dev, axis=1) / n
+
+
+def _derived(mean, var_biased, n: int):
+    """(mean_sq, var_unbiased) from the mean and the biased variance."""
+    return var_biased + mean * mean, var_biased * n / (n - 1)
+
+
+def _fisher_denominator(mean, s2):
+    return s2 * (2.0 - mean) - mean * mean * (mean - 1.0)
+
+
+def _conditions(kind: LawKind, mean, msq, s2, vb) -> list:
+    """Preconditions of the estimator map of ``kind`` in the order
+    :func:`estimate` tests them, as (holds, error class, message, value):
+    ``message`` names the condition and takes the offending ``value``."""
+    if kind is LawKind.GAMMA:
+        return [(s2 > 0.0, DegenerateSampleError,
+                 "gamma estimator requires S^2 > 0, got S^2={}", s2)]
+    if kind is LawKind.BETA:
+        return [
+            (vb > 0.0, DegenerateSampleError,
+             "beta estimator requires a positive biased variance, got {}",
+             vb),
+            (mean - msq > 0.0, DegenerateSampleError,
+             "beta estimator requires mean - mean_sq > 0, got {}",
+             mean - msq),
+            (mean < 1.0, DegenerateSampleError,
+             "beta estimator requires mean < 1, got {}", mean),
+        ]
+    if kind is LawKind.UNIFORM:
+        # cannot fail with empirical moments, kept as a guard
+        return [(np.logical_not(s2 < 0.0), DegenerateSampleError,
+                 "negative variance {}", s2)]
+    denom = _fisher_denominator(mean, s2)
+    return [
+        (mean > 1.0, InfeasibleMomentError,
+         "fisher estimator requires mean > 1, got {}", mean),
+        (denom > 0.0, DegenerateSampleError,
+         "fisher estimator requires S^2 (2 - mean) - mean^2 (mean - 1) "
+         "> 0, got {}", denom),
+    ]
+
+
+def _estimator_map(kind: LawKind, mean, msq, s2, vb) -> tuple:
+    """(a_hat, b_hat) where the conditions of ``kind`` hold."""
+    if kind is LawKind.GAMMA:
+        return mean * mean / s2, mean / s2
+    if kind is LawKind.BETA:
+        common = (mean - msq) / vb
+        return mean * common, (1.0 - mean) * common
+    if kind is LawKind.UNIFORM:
+        half = HALF_WIDTH_FACTOR * np.sqrt(s2)
+        return mean - half, mean + half
+    return (2.0 * mean * mean / _fisher_denominator(mean, s2),
+            2.0 * mean / (mean - 1.0))
+
+
 def estimate(kind: LawKind, em: EmpiricalMoments) -> ParamEstimate:
     """Closed-form moment estimates for ``kind`` from empirical moments."""
-    mean, msq = em.mean, em.mean_sq
-    s2 = em.var_unbiased
-    if kind is LawKind.GAMMA:
-        if not s2 > 0.0:
-            raise DegenerateSampleError(
-                f"gamma estimator requires S^2 > 0, got S^2={s2}")
-        return ParamEstimate(kind, mean * mean / s2, mean / s2, em.n)
-    if kind is LawKind.BETA:
-        vb = em.var_biased
-        if not vb > 0.0:
-            raise DegenerateSampleError(
-                f"beta estimator requires a positive biased variance, got {vb}")
-        if not mean - msq > 0.0:
-            raise DegenerateSampleError(
-                "beta estimator requires mean - mean_sq > 0, got "
-                f"{mean - msq}")
-        if not mean < 1.0:
-            raise DegenerateSampleError(
-                f"beta estimator requires mean < 1, got {mean}")
-        common = (mean - msq) / vb
-        return ParamEstimate(kind, mean * common, (1.0 - mean) * common, em.n)
-    if kind is LawKind.UNIFORM:
-        if s2 < 0.0:  # cannot happen with empirical_moments, kept as a guard
-            raise DegenerateSampleError(f"negative variance {s2}")
-        half = HALF_WIDTH_FACTOR * math.sqrt(s2)
-        return ParamEstimate(kind, mean - half, mean + half, em.n)
-    # Fisher
-    if not mean > 1.0:
-        raise InfeasibleMomentError(
-            f"fisher estimator requires mean > 1, got {mean}")
-    denom = s2 * (2.0 - mean) - mean * mean * (mean - 1.0)
-    if not denom > 0.0:
-        raise DegenerateSampleError(
-            "fisher estimator requires S^2 (2 - mean) - mean^2 (mean - 1) "
-            f"> 0, got {denom}")
-    return ParamEstimate(
-        kind, 2.0 * mean * mean / denom, 2.0 * mean / (mean - 1.0), em.n)
+    terms = (em.mean, em.mean_sq, em.var_unbiased, em.var_biased)
+    for holds, error, message, value in _conditions(kind, *terms):
+        if not holds:
+            raise error(message.format(value))
+    a_hat, b_hat = _estimator_map(kind, *terms)
+    return ParamEstimate(kind, float(a_hat), float(b_hat), em.n)
+
+
+def estimate_rows(kind: LawKind, x) -> tuple:
+    """Moment estimates on every row of the 2-D sample block ``x``.
+
+    Returns (a_hat, b_hat, feasible): ``feasible`` marks the rows on which
+    :func:`estimate` succeeds, and a_hat/b_hat hold those rows' estimates
+    in row order, bit for bit ``estimate(kind, empirical_moments(row))``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    if n < 2:
+        raise InsufficientDataError(
+            f"need at least 2 observations, got {n}")
+    mean, var_biased = _row_moments(x)
+    terms = (mean, *_derived(mean, var_biased, n), var_biased)
+    checks = _conditions(kind, *terms)
+    feasible = checks[0][0]
+    for holds, *_ in checks[1:]:
+        feasible = feasible & holds
+    if not feasible.all():
+        terms = tuple(t[feasible] for t in terms)
+    a_hat, b_hat = _estimator_map(kind, *terms)
+    return a_hat, b_hat, feasible

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, MomentDomainError
-from .rng import Stream
+from .rng import RowStreams
 
 __all__ = [
     "LawKind",
@@ -33,6 +33,7 @@ __all__ = [
     "cdf",
     "quantile",
     "sample",
+    "sample_rows",
     "theoretical_moments",
 ]
 
@@ -209,21 +210,27 @@ def sample(law: LawSpec, n: int, seed: int) -> np.ndarray:
     G1/(G1+G2), Fisher the scaled chi-square quotient (Z1/a)/(Z2/b); the
     exact draw algorithm is documented in :mod:`momest.rng`.
     """
+    return sample_rows(law, n, [seed])[0]
+
+
+def sample_rows(law: LawSpec, n: int, seeds) -> np.ndarray:
+    """Array of shape (len(seeds), n) whose row r is bit for bit
+    ``sample(law, n, seeds[r])``, drawn for every row at once."""
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     a, b = law.p1, law.p2
-    stream = Stream(seed)
+    streams = RowStreams(seeds)
     if law.kind is LawKind.UNIFORM:
-        return a + (b - a) * stream.uniforms(n)
+        return a + (b - a) * streams.uniforms(n)
     if law.kind is LawKind.GAMMA:
-        return stream.gammas(a, n) / b
+        return streams.gammas(a, n) / b
     if law.kind is LawKind.BETA:
-        g1 = stream.gammas(a, n)
-        g2 = stream.gammas(b, n)
+        g1 = streams.gammas(a, n)
+        g2 = streams.gammas(b, n)
         return g1 / (g1 + g2)
     # Fisher: (chi2_a / a) / (chi2_b / b) with chi2_k = 2 Gamma(k/2, 1)
-    g1 = stream.gammas(0.5 * a, n)
-    g2 = stream.gammas(0.5 * b, n)
+    g1 = streams.gammas(0.5 * a, n)
+    g2 = streams.gammas(0.5 * b, n)
     return (b * g1) / (a * g2)
 
 

@@ -1,0 +1,196 @@
+"""The batched replication engine against the one-replication-at-a-time
+definitions: row samples, row estimates, row plugin statistics and whole
+blocks must equal the per-row results bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momest import (Covariance2, DegenerateSampleError, LawSpec, RowStreams,
+                    SigmaMethod, SimulationConfig, Stream, covariance_plugin,
+                    empirical_moments, estimate, estimate_rows,
+                    influence_pair, plugin_rows, run_simulation, sample,
+                    sample_rows, substream_seed, write_report)
+from momest import montecarlo
+from momest.montecarlo import _simulate_block
+
+LAWS = (LawSpec.gamma(2.0, 3.0), LawSpec.beta(2.0, 3.0),
+        LawSpec.uniform(0.0, 1.0), LawSpec.fisher(5.0, 12.0),
+        LawSpec.gamma(0.5, 2.0), LawSpec.beta(0.7, 3.5))
+SIZES = (2, 7, 200, 5000)
+MASTER = 0xC0FFEE
+
+
+def seeds(count, master=MASTER):
+    return [substream_seed(master, j) for j in range(1, count + 1)]
+
+
+def reference_block(law, n, master, j_lo, j_hi, h, l):
+    """One replication at a time, with the plugin statistics taken from
+    ``np.cov`` directly, as the engine computed them before batching."""
+    a_hat, b_hat, sd_h, sd_l, cov_hl = [], [], [], [], []
+    infeasible = 0
+    for j in range(j_lo, j_hi):
+        x = sample(law, n, substream_seed(master, j))
+        try:
+            est = estimate(law.kind, empirical_moments(x))
+        except DegenerateSampleError:
+            infeasible += 1
+            continue
+        c = np.cov(h.evaluate(x), l.evaluate(x), ddof=1)
+        sig = Covariance2.build(float(c[0, 0]), float(c[1, 1]),
+                                float(c[0, 1]), SigmaMethod.PLUGIN)
+        a_hat.append(est.a_hat)
+        b_hat.append(est.b_hat)
+        sd_h.append(np.sqrt(sig.s11))
+        sd_l.append(np.sqrt(sig.s22))
+        cov_hl.append(sig.s12)
+    return (np.array(a_hat), np.array(b_hat), np.array(sd_h),
+            np.array(sd_l), np.array(cov_hl), infeasible)
+
+
+def assert_blocks_equal(got, want):
+    for g, w in zip(got[:5], want[:5]):
+        assert np.asarray(g, dtype=float).tobytes() == w.tobytes()
+    assert got[5] == want[5]
+
+
+class TestRowSampler:
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_equal_sample(self, law, n):
+        rows = 3 if n == 5000 else 11
+        x = sample_rows(law, n, seeds(rows))
+        assert x.shape == (rows, n)
+        for r, seed in enumerate(seeds(rows)):
+            assert x[r].tobytes() == sample(law, n, seed).tobytes()
+
+    def test_streams_equal_stream_call_by_call(self):
+        """Counters diverge per row after a rejection round, and every
+        later draw must continue each row's own counter."""
+        row_seeds = seeds(6)
+        streams = RowStreams(row_seeds)
+        singles = [Stream(s) for s in row_seeds]
+        calls = [("gammas", (2.5, 40)), ("normals", (13,)),
+                 ("gammas", (0.4, 9)), ("uniforms", (5,)), ("raw", (3,)),
+                 ("gammas", (6.0, 1))]
+        for name, args in calls:
+            block = getattr(streams, name)(*args)
+            for r, single in enumerate(singles):
+                assert block[r].tobytes() == \
+                    getattr(single, name)(*args).tobytes()
+        assert [int(c) for c in streams._counters] == \
+            [s.consumed for s in singles]
+
+
+class TestRowEstimates:
+    @pytest.mark.parametrize("law,n", [(LawSpec.fisher(5.0, 10.0), 3)]
+                             + [(law, 200) for law in LAWS], ids=str)
+    def test_equal_per_row_estimate(self, law, n):
+        x = sample_rows(law, n, seeds(60))
+        a_hat, b_hat, feasible = estimate_rows(law.kind, x)
+        want_a, want_b, want_ok = [], [], []
+        for row in x:
+            try:
+                est = estimate(law.kind, empirical_moments(row))
+            except DegenerateSampleError:
+                want_ok.append(False)
+                continue
+            want_ok.append(True)
+            want_a.append(est.a_hat)
+            want_b.append(est.b_hat)
+        assert feasible.tolist() == want_ok
+        assert a_hat.tobytes() == np.array(want_a).tobytes()
+        assert b_hat.tobytes() == np.array(want_b).tobytes()
+        if law == LawSpec.fisher(5.0, 10.0):
+            assert 0 < feasible.sum() < feasible.size
+
+    @pytest.mark.parametrize("n", (2, 3, 17, 200, 4099, 100_001))
+    def test_moments_equal_numpy(self, n):
+        x = np.random.default_rng(n).standard_gamma(0.8, size=(3, n)) * 7.0
+        for row in x:
+            em = empirical_moments(row)
+            assert em.mean == float(np.mean(row))
+            assert em.var_biased == float(np.var(row))
+
+
+class TestRowPlugin:
+    @pytest.mark.parametrize("law", LAWS[:4], ids=str)
+    @pytest.mark.parametrize("n", (2, 7, 200, 5000, 100_000))
+    def test_equal_np_cov(self, law, n):
+        """Guards against a BLAS whose stacked product and ``np.cov`` round
+        differently."""
+        h, l = influence_pair(law)
+        rows = 2 if n >= 5000 else 25
+        x = sample_rows(law, n, seeds(rows))
+        s11, s22, s12 = plugin_rows(x, h, l)
+        for r, row in enumerate(x):
+            c = np.cov(h.evaluate(row), l.evaluate(row), ddof=1)
+            want = Covariance2.build(float(c[0, 0]), float(c[1, 1]),
+                                     float(c[0, 1]), SigmaMethod.PLUGIN)
+            assert (float(s11[r]), float(s22[r]), float(s12[r])) == \
+                (want.s11, want.s22, want.s12)
+            assert covariance_plugin(row, h, l) == want
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("n,b_total", [(3, 50), (200, 97), (5000, 4)])
+    def test_block_equals_reference(self, law, n, b_total):
+        rows = max(1, montecarlo.ROW_BLOCK_VALUES // n)
+        assert b_total % rows != 0
+        h, l = influence_pair(law)
+        got = _simulate_block(law, n, MASTER, 1, b_total + 1, h, l)
+        assert_blocks_equal(got, reference_block(law, n, MASTER, 1,
+                                                 b_total + 1, h, l))
+
+    def test_infeasible_rows_counted(self):
+        law = LawSpec.fisher(5.0, 10.0)
+        h, l = influence_pair(law)
+        got = _simulate_block(law, 3, MASTER, 5, 95, h, l)
+        want = reference_block(law, 3, MASTER, 5, 95, h, l)
+        assert_blocks_equal(got, want)
+        assert 0 < got[5] < 90
+
+    def test_workers_equal_serial(self, tmp_path):
+        cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=50,
+                               replications=37, master_seed=2024,
+                               sigma_methods=tuple(SigmaMethod))
+        bundles = []
+        for workers in (1, 2):
+            outdir = tmp_path / f"w{workers}"
+            write_report(run_simulation(cfg, workers=workers), outdir)
+            bundles.append({p.name: p.read_bytes()
+                            for p in sorted(outdir.iterdir())})
+        assert bundles[0] == bundles[1]
+
+
+def laws_strategy():
+    positive = st.floats(0.3, 8.0)
+    return st.one_of(
+        st.builds(LawSpec.gamma, positive, st.floats(0.5, 5.0)),
+        st.builds(LawSpec.beta, positive, positive),
+        st.builds(lambda lo, width: LawSpec.uniform(lo, lo + width),
+                  st.floats(-3.0, 3.0), st.floats(0.1, 5.0)),
+        st.builds(LawSpec.fisher, st.floats(1.0, 10.0),
+                  st.floats(4.5, 30.0)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=laws_strategy(), n=st.integers(2, 300),
+       master=st.integers(0, 2 ** 64 - 1), b_total=st.integers(1, 60),
+       budget=st.integers(1, 4000))
+def test_batched_equals_per_row(law, n, master, b_total, budget):
+    """Any row budget, so that blocks of every size and a short last block
+    occur."""
+    h, l = influence_pair(law)
+    saved = montecarlo.ROW_BLOCK_VALUES
+    montecarlo.ROW_BLOCK_VALUES = budget
+    try:
+        got = _simulate_block(law, n, master, 1, b_total + 1, h, l)
+    finally:
+        montecarlo.ROW_BLOCK_VALUES = saved
+    assert_blocks_equal(got, reference_block(law, n, master, 1, b_total + 1,
+                                             h, l))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from momest import (DegenerateSampleError, EmpiricalMoments,
+from momest import (DegenerateSampleError, DomainError, EmpiricalMoments,
                     InfeasibleMomentError, InsufficientDataError, LawKind,
                     LawSpec, empirical_moments, estimate, sample,
                     theoretical_moments)
@@ -139,6 +139,31 @@ class TestDegenerateInputs:
         # mean above 2 forces S^2 (2 - mean) - mean^2 (mean - 1) below zero
         with pytest.raises(DegenerateSampleError, match="fisher estimator"):
             estimate(LawKind.FISHER, moments_at(3.0, 9.5))
+
+
+class TestNonFiniteSample:
+    @pytest.mark.parametrize("values,count,first", [
+        ([0.1, float("nan"), 0.5], 1, 1),
+        ([float("inf"), 0.2, 0.3], 1, 0),
+        ([0.1, 0.2, float("-inf"), float("nan")], 2, 2),
+    ])
+    def test_rejected_with_count_and_index(self, values, count, first):
+        with pytest.raises(DomainError) as info:
+            empirical_moments(values)
+        assert f"{count} non-finite value(s)" in str(info.value)
+        assert f"index {first}" in str(info.value)
+
+    def test_estimate_never_sees_nan(self):
+        """The library path fails loudly instead of returning nan bounds."""
+        with pytest.raises(DomainError):
+            estimate(LawKind.UNIFORM,
+                     empirical_moments([0.1, float("nan"), 0.5]))
+
+    def test_not_a_degenerate_sample(self):
+        """Bad input is not counted as an infeasible replication."""
+        with pytest.raises(DomainError) as info:
+            empirical_moments([1.0, float("inf")])
+        assert not isinstance(info.value, DegenerateSampleError)
 
 
 class TestConsistency:
