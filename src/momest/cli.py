@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (default: $MOMEST_OUTDIR or "
                         "./momest-report)")
     p.add_argument("--workers", type=int, default=1,
-                   help="process count; affects wall clock only, never bytes")
+                   help="thread count; affects wall clock only, never bytes")
     return parser
 
 
@@ -281,7 +281,7 @@ def cmd_simulate(args) -> int:
                            coefficient_mode=args.mode,
                            sigma_methods=methods)
     outdir = args.out or os.environ.get("MOMEST_OUTDIR") or "momest-report"
-    report = run_simulation(cfg, workers=max(1, args.workers))
+    report = run_simulation(cfg, workers=args.workers)
     paths = write_report(report, outdir)
     print(f"{law}  n={cfg.n}  replications={cfg.replications}  "
           f"seed={cfg.master_seed}  mode={cfg.coefficient_mode.value}")

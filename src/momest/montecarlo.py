@@ -20,7 +20,8 @@ aggregation runs in replication order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -210,9 +211,11 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
                    ) -> SimulationReport:
     """Run the full replication study described by ``cfg``.
 
-    ``workers`` > 1 distributes replications over processes; the report is
-    byte-identical to a serial run.
+    ``workers`` > 1 splits the replications over up to that many threads
+    (numpy releases the GIL); the report is byte-identical to a serial run.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     law, n, b_total = cfg.law, cfg.n, cfg.replications
     h, l = influence_pair(law, cfg.coefficient_mode)
 
@@ -222,15 +225,12 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
     sigma_exact = sigmas.get(SigmaMethod.EXACT_MOMENTS,
                              sigmas.get(SigmaMethod.EXACT_QUADRATURE))
 
-    bounds = _chunk_bounds(b_total, workers)
-    if workers <= 1 or len(bounds) <= 1:
-        blocks = [_simulate_block(law, n, cfg.master_seed, lo, hi, h, l)
-                  for lo, hi in bounds]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_simulate_block, law, n, cfg.master_seed,
-                                   lo, hi, h, l) for lo, hi in bounds]
-            blocks = [f.result() for f in futures]
+    first, *others = _thread_ranges(b_total, workers)
+    with ThreadPoolExecutor(max_workers=max(1, len(others))) as pool:
+        futures = [pool.submit(_simulate_block, law, n, cfg.master_seed,
+                               lo, hi, h, l) for lo, hi in others]
+        blocks = [_simulate_block(law, n, cfg.master_seed, *first, h, l)]
+        blocks += [f.result() for f in futures]
 
     a_hat, b_hat, sd_h, sd_l, cov_hl = (
         np.concatenate([blk[k] for blk in blocks]) for k in range(5))
@@ -274,11 +274,11 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
     return report
 
 
-def _chunk_bounds(b_total: int, workers: int) -> list[tuple[int, int]]:
-    chunks = 1 if workers <= 1 else min(b_total, 4 * workers)
-    step = (b_total + chunks - 1) // chunks
-    return [(lo, min(lo + step, b_total + 1))
-            for lo in range(1, b_total + 1, step)]
+def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
+    """Near-equal contiguous ranges of 1-based replications, one per thread."""
+    threads = min(workers, b_total, os.cpu_count() or 1)
+    cuts = [1 + b_total * k // threads for k in range(threads + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _attach_rates(report: SimulationReport,

@@ -8,6 +8,8 @@ the quartic-moment bilinear form Var(c1 X + c2 X^2) = c1^2 Var X
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momest import (CoefficientMode, Covariance2, DomainError,
                     EmpiricalMoments, InsufficientDataError, LawKind, LawSpec,
@@ -219,6 +221,43 @@ class TestSigmaFor:
         with pytest.raises(MomestError, match="use simulate"):
             sigma_for(SigmaMethod.REPLICATION, GAMMA23, h, l,
                       sample(GAMMA23, 50, 9))
+
+
+def feasible_laws(shape_lo):
+    """Laws with a fourth moment; shapes from ``shape_lo`` up."""
+    shape = st.floats(shape_lo, 8.0)
+    return st.one_of(
+        st.builds(LawSpec.gamma, shape, st.floats(0.2, 5.0)),
+        st.builds(LawSpec.beta, shape, shape),
+        st.builds(lambda lo, width: LawSpec.uniform(lo, lo + width),
+                  st.floats(-5.0, 5.0), st.floats(0.01, 10.0)),
+        st.builds(LawSpec.fisher, st.floats(max(shape_lo, 1.0), 10.0),
+                  st.floats(8.5, 30.0)),
+    )
+
+
+def assert_psd(sig):
+    assert sig.s11 >= 0.0 and sig.s22 >= 0.0
+    assert sig.det >= -1e-9 * sig.s11 * sig.s22
+
+
+class TestSigmaPSD:
+    @settings(max_examples=60, deadline=None)
+    @given(law=feasible_laws(0.3), mode=st.sampled_from(CoefficientMode),
+           n=st.integers(2, 300), seed=st.integers(0, 2 ** 64 - 1))
+    def test_exact_moments_and_plugin(self, law, mode, n, seed):
+        h, l = influence_pair(law, mode)
+        assert_psd(sigma_for(SigmaMethod.EXACT_MOMENTS, law, h, l))
+        assert_psd(sigma_for(SigmaMethod.PLUGIN, law, h, l,
+                             sample(law, n, seed)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(law=feasible_laws(2.0), mode=st.sampled_from(CoefficientMode))
+    def test_exact_quadrature(self, law, mode):
+        """Shapes from 2 keep each density and its slope bounded, so that
+        the quadrature converges in milliseconds."""
+        h, l = influence_pair(law, mode)
+        assert_psd(sigma_for(SigmaMethod.EXACT_QUADRATURE, law, h, l))
 
 
 class TestPlugin:

@@ -2,6 +2,8 @@
 definitions: row samples, row estimates, row plugin statistics and whole
 blocks must equal the per-row results bit for bit."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from momest import (Covariance2, DegenerateSampleError, LawSpec, RowStreams,
                     influence_pair, plugin_rows, run_simulation, sample,
                     sample_rows, substream_seed, write_report)
 from momest import montecarlo
-from momest.montecarlo import _simulate_block
+from momest.montecarlo import _simulate_block, _thread_ranges
 
 LAWS = (LawSpec.gamma(2.0, 3.0), LawSpec.beta(2.0, 3.0),
         LawSpec.uniform(0.0, 1.0), LawSpec.fisher(5.0, 12.0),
@@ -153,17 +155,43 @@ class TestBlocks:
         assert_blocks_equal(got, want)
         assert 0 < got[5] < 90
 
-    def test_workers_equal_serial(self, tmp_path):
-        cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=50,
-                               replications=37, master_seed=2024,
-                               sigma_methods=tuple(SigmaMethod))
-        bundles = []
-        for workers in (1, 2):
-            outdir = tmp_path / f"w{workers}"
-            write_report(run_simulation(cfg, workers=workers), outdir)
-            bundles.append({p.name: p.read_bytes()
-                            for p in sorted(outdir.iterdir())})
-        assert bundles[0] == bundles[1]
+    def test_workers_equal_serial(self, tmp_path, monkeypatch):
+        """n = 9000 puts one row in a block; B = 2 with 3 workers has more
+        workers than replications.  Enough CPUs are reported that every
+        worker count gets its own threads."""
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        for n, b_total in itertools.product((3, 200, 9000), (2, 37, 400)):
+            cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=n,
+                                   replications=b_total, master_seed=2024,
+                                   sigma_methods=tuple(SigmaMethod))
+            bundles = []
+            for workers in (1, 2, 3):
+                outdir = tmp_path / f"n{n}-B{b_total}-w{workers}"
+                write_report(run_simulation(cfg, workers=workers), outdir)
+                bundles.append({p.name: p.read_bytes()
+                                for p in sorted(outdir.iterdir())})
+            assert bundles[1] == bundles[0], (n, b_total, 2)
+            assert bundles[2] == bundles[0], (n, b_total, 3)
+
+
+class TestThreadRanges:
+    """The split and its cap, from the pure helper: no thread is started."""
+
+    @pytest.mark.parametrize("b_total", (2, 3, 37, 400))
+    @pytest.mark.parametrize("workers", (1, 2, 3, 7, 1000))
+    def test_contiguous_near_equal_capped(self, b_total, workers,
+                                          monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        ranges = _thread_ranges(b_total, workers)
+        assert len(ranges) == min(workers, b_total, 4)
+        assert ranges[0][0] == 1 and ranges[-1][1] == b_total + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        sizes = [hi - lo for lo, hi in ranges]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_unknown_cpu_count_gives_one_range(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert _thread_ranges(400, 1000) == [(1, 401)]
 
 
 def laws_strategy():

@@ -256,6 +256,17 @@ class TestSimulate:
             p2 = out2 / p1.name
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
+    def test_workers_below_one_rejected(self, capsys, tmp_path):
+        for workers in ("0", "-3"):
+            out = tmp_path / f"w{workers}"
+            code, _, err = run_cli(
+                capsys, "simulate", "gamma", "2", "3", "--n", "50",
+                "--replications", "40", "--seed", "7", "--out", str(out),
+                "--workers", workers)
+            assert code == EXIT_INPUT
+            assert "workers must be >= 1" in err
+            assert not out.exists()
+
     def test_report_json_roundtrips(self, capsys, tmp_path):
         out = tmp_path / "run"
         run_cli(capsys, "simulate", "uniform", "0", "1", "--n", "40",

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momest import (DegenerateSampleError, DomainError, EmpiricalMoments,
                     InfeasibleMomentError, InsufficientDataError, LawKind,
@@ -120,6 +122,31 @@ class TestEquivariance:
                                             abs=1e-12)
         assert moved.b_hat == pytest.approx(alpha * base.b_hat + beta,
                                             abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.floats(0.3, 8.0), rate=st.floats(0.2, 5.0),
+           n=st.integers(10, 500), seed=st.integers(0, 2 ** 64 - 1),
+           c=st.floats(1e-3, 1e3))
+    def test_gamma_scale_property(self, shape, rate, n, seed, c):
+        x = sample(LawSpec.gamma(shape, rate), n, seed)
+        base = estimate(LawKind.GAMMA, empirical_moments(x))
+        scaled = estimate(LawKind.GAMMA, empirical_moments(c * x))
+        assert scaled.a_hat == pytest.approx(base.a_hat, rel=1e-9)
+        assert scaled.b_hat == pytest.approx(base.b_hat / c, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.floats(-5.0, 5.0), width=st.floats(0.01, 10.0),
+           n=st.integers(2, 500), seed=st.integers(0, 2 ** 64 - 1),
+           c=st.floats(1e-3, 1e3), d=st.floats(-1e3, 1e3))
+    def test_uniform_location_scale_property(self, lo, width, n, seed, c, d):
+        x = sample(LawSpec.uniform(lo, lo + width), n, seed)
+        base = estimate(LawKind.UNIFORM, empirical_moments(x))
+        moved = estimate(LawKind.UNIFORM, empirical_moments(c * x + d))
+        # relative to the magnitude of the moved values
+        scale = abs(d) + c * (abs(lo) + width)
+        for got, want in ((moved.a_hat, c * base.a_hat + d),
+                          (moved.b_hat, c * base.b_hat + d)):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
 
 
 class TestDegenerateInputs:

@@ -2,6 +2,9 @@
 worker counts, exclusion accounting, tables and figure data."""
 
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +14,9 @@ from momest import (CoefficientMode, DegenerateSampleError, DomainError,
                     SimulationConfig, covariance_exact_moments,
                     empirical_moments, error_table, estimate, influence_pair,
                     normal_quantile, parzen_density, qq_plot_data,
-                    ratio_table, run_simulation, sample, substream_seed)
+                    ratio_table, run_simulation, sample, substream_seed,
+                    write_report)
+from momest import montecarlo
 from momest.montecarlo import _aggregate_plugin
 
 GAMMA23 = LawSpec.gamma(2.0, 3.0)
@@ -73,6 +78,59 @@ class TestDeterminism:
         assert serial.marginal_rates == parallel.marginal_rates
         assert serial.omnibus_rates == parallel.omnibus_rates
         assert serial.ratios == parallel.ratios
+
+    def test_workers_below_one_rejected(self):
+        cfg = SimulationConfig(law=GAMMA23, n=20, replications=10,
+                               master_seed=1)
+        for workers in (0, -3):
+            with pytest.raises(DomainError, match="workers must be >= 1"):
+                run_simulation(cfg, workers=workers)
+
+    def test_threads_leave_nothing_running(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        cfg = SimulationConfig(law=GAMMA23, n=50, replications=60,
+                               master_seed=97)
+        before = threading.active_count()
+        run_simulation(cfg, workers=2)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_equal_serial(self, tmp_path, monkeypatch):
+        """Two studies run at once from two threads, each on its own pool,
+        with frequent thread switches: nothing global may be shared."""
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        cfgs = [SimulationConfig(law=GAMMA23, n=200, replications=300,
+                                 master_seed=11),
+                SimulationConfig(law=LawSpec.fisher(5.0, 12.0), n=60,
+                                 replications=500, master_seed=12,
+                                 sigma_methods=tuple(SigmaMethod))]
+
+        def bundle(report, name):
+            write_report(report, tmp_path / name)
+            return {p.name: p.read_bytes()
+                    for p in sorted((tmp_path / name).iterdir())}
+
+        serial = [bundle(run_simulation(cfg), f"serial{k}")
+                  for k, cfg in enumerate(cfgs)]
+        reports = [None, None]
+
+        def study(k):
+            reports[k] = run_simulation(cfgs[k], workers=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=study, args=(k,))
+                       for k in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for k, report in enumerate(reports):
+            assert bundle(report, f"threaded{k}") == serial[k]
 
     def test_rerun_identical(self):
         cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=40,
