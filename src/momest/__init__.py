@@ -20,7 +20,7 @@ from .montecarlo import (ErrorStats, SimulationConfig, SimulationReport,
                          error_table, parzen_density, qq_plot_data,
                          ratio_table, run_simulation, silverman_bandwidth)
 from .reportio import report_to_dict, write_report
-from .rng import RowStreams, Stream, substream_seed
+from .rng import RowStreams, Stream, Workspace, substream_seed
 from .significance import TestReport, marginal_test, omnibus_test
 from .special import (COARSE_QUAD_CONFIG, DEFAULT_QUAD_CONFIG,
                       QuadratureConfig, chisq_cdf, chisq_quantile, chisq_sf,
@@ -45,7 +45,7 @@ __all__ = [
     "parzen_density", "qq_plot_data", "ratio_table", "run_simulation",
     "silverman_bandwidth",
     "report_to_dict", "write_report",
-    "RowStreams", "Stream", "substream_seed",
+    "RowStreams", "Stream", "Workspace", "substream_seed",
     "TestReport", "marginal_test", "omnibus_test",
     "COARSE_QUAD_CONFIG", "DEFAULT_QUAD_CONFIG", "QuadratureConfig",
     "chisq_cdf", "chisq_quantile", "chisq_sf", "ln_gamma", "normal_cdf",

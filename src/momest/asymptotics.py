@@ -335,7 +335,13 @@ def covariance_exact_quadrature(
 ) -> Covariance2:
     """Var/Cov of the influence pair by density-weighted trapezoid
     quadrature: s11 = E[H(X)^2] - E[H(X)]^2 and so on, each expectation an
-    integral over the truncated support."""
+    integral over the truncated support.  Beta laws with b < 1, whose
+    density is unbounded at x = 1, are refused: the rule cannot integrate
+    that endpoint."""
+    if law.kind is LawKind.BETA and law.p2 < 1.0:
+        raise DomainError(
+            f"exact-quadrature sigma needs a density bounded at x = 1, but "
+            f"{law} has b = {law.p2:g} < 1; use exact-moments")
     mom = theoretical_moments(law)
     if _required_moment_order(h, l) == 4:
         mom.require(4)  # integrability guard (Fisher: b > 8)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, MomentDomainError
-from .rng import RowStreams
+from .rng import RowStreams, Workspace
 
 __all__ = [
     "LawKind",
@@ -213,25 +213,43 @@ def sample(law: LawSpec, n: int, seed: int) -> np.ndarray:
     return sample_rows(law, n, [seed])[0]
 
 
-def sample_rows(law: LawSpec, n: int, seeds) -> np.ndarray:
+def sample_rows(law: LawSpec, n: int, seeds,
+                workspace: Optional[Workspace] = None) -> np.ndarray:
     """Array of shape (len(seeds), n) whose row r is bit for bit
-    ``sample(law, n, seeds[r])``, drawn for every row at once."""
+    ``sample(law, n, seeds[r])``, drawn for every row at once.
+
+    The draws take their scratch arrays from ``workspace`` (a new one if
+    none is given); consecutive calls of one thread may share it.
+    """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     a, b = law.p1, law.p2
-    streams = RowStreams(seeds)
+    ws = Workspace() if workspace is None else workspace
+    streams = RowStreams(seeds, ws)
     if law.kind is LawKind.UNIFORM:
-        return a + (b - a) * streams.uniforms(n)
+        x = streams.uniforms(n)
+        x *= b - a
+        x += a
+        return x
+    # the first gamma batch is drawn into the array returned, the second
+    # into the workspace
     if law.kind is LawKind.GAMMA:
-        return streams.gammas(a, n) / b
+        x = streams.gammas(a, n)
+        x /= b
+        return x
     if law.kind is LawKind.BETA:
-        g1 = streams.gammas(a, n)
-        g2 = streams.gammas(b, n)
-        return g1 / (g1 + g2)
+        x = streams.gammas(a, n)
+        g2 = streams.gammas(b, n, ws.take("batch", x.shape))
+        g2 += x
+        x /= g2
+        return x
     # Fisher: (chi2_a / a) / (chi2_b / b) with chi2_k = 2 Gamma(k/2, 1)
-    g1 = streams.gammas(0.5 * a, n)
-    g2 = streams.gammas(0.5 * b, n)
-    return (b * g1) / (a * g2)
+    x = streams.gammas(0.5 * a, n)
+    g2 = streams.gammas(0.5 * b, n, ws.take("batch", x.shape))
+    x *= b
+    g2 *= a
+    x /= g2
+    return x
 
 
 def theoretical_moments(law: LawSpec) -> MomentSet:

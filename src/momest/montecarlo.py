@@ -34,7 +34,7 @@ from .errors import (DegenerateSampleError, DomainError,
                      InsufficientDataError, MomestError)
 from .estimation import estimate_rows
 from .laws import LawSpec, sample_rows
-from .rng import substream_seed
+from .rng import Workspace, substream_seed
 from .significance import Z_CRIT_5PCT, det_floor
 from .special import chisq_quantile, normal_quantile
 
@@ -191,13 +191,15 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
     Replications run in row blocks of ``ROW_BLOCK_VALUES // n`` samples
     (at least one): each block is drawn, estimated and reduced to its plugin
     statistics at once, giving the same bits as one replication at a time.
+    The blocks draw into one workspace, which lives as long as this call.
     """
     rows = max(1, ROW_BLOCK_VALUES // n)
+    workspace = Workspace()
     parts = []
     for lo in range(j_lo, j_hi, rows):
         seeds = [substream_seed(master_seed, j)
                  for j in range(lo, min(lo + rows, j_hi))]
-        x = sample_rows(law, n, seeds)
+        x = sample_rows(law, n, seeds, workspace)
         a_hat, b_hat, feasible = estimate_rows(law.kind, x)
         s11, s22, s12 = plugin_rows(x[feasible], h, l)
         parts.append((a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,

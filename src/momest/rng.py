@@ -43,16 +43,21 @@ algorithm, in order of consumption:
 output: each row keeps its own seed and counter, and the layout above holds
 within every row, so row ``r`` holds exactly what ``Stream(seeds[r])`` draws.
 :class:`Stream` is its one-row case.  All state lives in the instance;
-nothing global is touched.
+nothing global is touched.  Draws write their intermediates into the
+scratch arrays of a :class:`Workspace`, which one caller may reuse from call
+to call; reused buffers change no draw.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["RowStreams", "Stream", "substream_seed", "mix64"]
+__all__ = ["RowStreams", "Stream", "Workspace", "substream_seed", "mix64"]
 
 _MASK = (1 << 64) - 1
 _U64 = np.uint64
@@ -65,35 +70,35 @@ _TWO_M53 = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, in place on a uint64 array."""
-    z ^= z >> _S30
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array; ``t`` is
+    scratch of the same shape."""
+    z ^= np.right_shift(z, _S30, out=t)
     z *= _MUL1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=t)
     z *= _MUL2
-    z ^= z >> _S31
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
-def _to_uniforms(raw: np.ndarray) -> np.ndarray:
-    """Uniforms from raw outputs, whose array is overwritten."""
+def _to_uniforms(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Uniforms from raw outputs, whose array is overwritten, into ``out``."""
     raw >>= _S11
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= _TWO_M53
-    return u
+    out[...] = raw
+    out += 0.5
+    out *= _TWO_M53
+    return out
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    z = np.log(u1)
-    z *= -2.0
-    np.sqrt(z, out=z)
-    z *= np.cos(_TWO_PI * u2)
-    return z
-
-
-def _steps(count: int) -> np.ndarray:
-    return np.arange(count, dtype=_U64) * _GOLDEN
+def _box_muller(u1: np.ndarray, u2: np.ndarray, out: np.ndarray
+                ) -> np.ndarray:
+    """Normals into ``out``, which may be ``u1``; ``u2`` is overwritten."""
+    np.log(u1, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    u2 *= _TWO_PI
+    out *= np.cos(u2, out=u2)
+    return out
 
 
 def mix64(value: int) -> int:
@@ -111,86 +116,157 @@ def substream_seed(master_seed: int, index: int) -> int:
     return mix64(master_seed + index * int(_SUBSTREAM))
 
 
+class Workspace:
+    """Scratch arrays of one caller, reused by every draw it makes.
+
+    :meth:`take` hands out a view of a named buffer, which is allocated on
+    first use and replaced only when a larger size is asked for, so a study
+    of equal row blocks allocates its buffers in its first block.  The
+    buffers hold no generator state.  A workspace must not be shared
+    between threads: give each its own.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A view of the given shape on buffer ``name``; its contents are
+        whatever the last user left there."""
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def steps(self, count: int) -> np.ndarray:
+        """The counter offsets ``k * 0x9E3779B97F4A7C15`` for k < count."""
+        buf = self._arrays.get("steps")
+        if buf is None or buf.size < count:
+            buf = self._arrays["steps"] = (
+                np.arange(count, dtype=_U64) * _GOLDEN)
+        return buf[:count]
+
+
 class RowStreams:
     """Counter-based deviate streams advanced together, one per seed.
 
     Every draw returns one row per stream, and row ``r`` is bit for bit what
     ``Stream(seeds[r])`` returns for the same sequence of calls; see the
-    module docstring for the exact algorithm and counter layout.
+    module docstring for the exact algorithm and counter layout.  Scratch
+    arrays come from ``workspace``, a new one if none is given.
     """
 
-    def __init__(self, seeds):
+    def __init__(self, seeds, workspace: Optional[Workspace] = None):
         self._seeds = np.array([int(s) & _MASK for s in seeds], dtype=_U64)
         self._counters = np.zeros(self._seeds.size, dtype=_U64)
+        self._ws = Workspace() if workspace is None else workspace
 
     @property
     def rows(self) -> int:
         return self._seeds.size
 
     def _draw(self, lanes: int, m, row=None) -> np.ndarray:
-        """Raw outputs of shape (lanes, P) for P pending slots: the slot of
-        rank i in a row with m_r slots reads counter c_r + 1 + t m_r + i in
-        lane t.  With ``row`` None every row has ``m`` slots (an int),
-        laid out row after row; otherwise ``m`` holds the count of every
-        row and ``row`` the row of each slot, in ascending order."""
+        """Raw outputs of shape (lanes, P) for P pending slots, in the
+        workspace: the slot of rank i in a row with m_r slots reads counter
+        c_r + 1 + t m_r + i in lane t.  With ``row`` None every row has
+        ``m`` slots (an int), laid out row after row; otherwise ``m`` holds
+        the count of every row and ``row`` the row of each slot, in
+        ascending order."""
+        ws = self._ws
         if row is None:
+            rows = self.rows
             base = self._seeds + (self._counters + _U64(1)) * _GOLDEN
-            keys = base[:, None] + _steps(lanes * m).reshape(lanes, 1, m)
+            keys = ws.take("keys", (lanes, rows * m), _U64)
+            np.add(base[:, None], ws.steps(lanes * m).reshape(lanes, 1, m),
+                   out=keys.reshape(lanes, rows, m))
             self._counters += _U64(lanes * m)
-            return _mix(keys.reshape(lanes, -1))
-        # slot p of the round has rank p - start_r in its row
-        start = np.cumsum(m) - m
-        base = self._seeds + (self._counters + _U64(1) - start) * _GOLDEN
-        lane = np.arange(lanes, dtype=_U64)[:, None]
-        keys = (base + lane * m * _GOLDEN)[:, row] + _steps(row.size)
-        self._counters += _U64(lanes) * m
-        return _mix(keys)
+        else:
+            # slot p of the round has rank p - start_r in its row
+            start = np.cumsum(m) - m
+            base = self._seeds + (self._counters + _U64(1) - start) * _GOLDEN
+            lane = np.arange(lanes, dtype=_U64)[:, None]
+            keys = ws.take("keys", (lanes, row.size), _U64)
+            np.take(base + lane * m * _GOLDEN, row, axis=1, out=keys,
+                    mode="clip")  # "raise" would buffer the output
+            keys += ws.steps(row.size)
+            self._counters += _U64(lanes) * m
+        return _mix(keys, ws.take("shift", keys.shape, _U64))
+
+    def _uniform_lanes(self, lanes: int, m, row=None) -> np.ndarray:
+        """Uniforms of shape (lanes, P) in the workspace; see :meth:`_draw`."""
+        raw = self._draw(lanes, m, row)
+        return _to_uniforms(raw, self._ws.take("uniforms", raw.shape))
 
     def raw(self, count: int) -> np.ndarray:
-        return self._draw(1, count).reshape(self.rows, count)
+        return self._draw(1, count).reshape(self.rows, count).copy()
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """i.i.d. uniforms strictly inside (0, 1)."""
-        return _to_uniforms(self.raw(count))
+    def uniforms(self, count: int, out=None) -> np.ndarray:
+        """i.i.d. uniforms strictly inside (0, 1), written into ``out``, a
+        C-contiguous (rows, count) array, when given."""
+        if out is None:
+            out = np.empty((self.rows, count))
+        return _to_uniforms(self._draw(1, count).reshape(out.shape), out)
 
     def normals(self, count: int) -> np.ndarray:
         """i.i.d. standard normal deviates."""
-        u1, u2 = _to_uniforms(self._draw(2, count))
-        return _box_muller(u1, u2).reshape(self.rows, count)
+        u1, u2 = self._uniform_lanes(2, count)
+        return _box_muller(u1, u2, np.empty(u1.size)).reshape(self.rows,
+                                                              count)
 
-    def gammas(self, shape: float, count: int) -> np.ndarray:
-        """i.i.d. Gamma(shape, rate 1) deviates."""
+    def gammas(self, shape: float, count: int, out=None) -> np.ndarray:
+        """i.i.d. Gamma(shape, rate 1) deviates, written into ``out``, a
+        C-contiguous (rows, count) array, when given."""
         if not shape > 0.0:
             raise DomainError(f"gamma shape must be > 0, got {shape}")
+        rows, ws = self.rows, self._ws
+        if out is None:
+            out = np.empty((rows, count))
         if shape < 1.0:
-            g = self.gammas(shape + 1.0, count)
-            return g * self.uniforms(count) ** (1.0 / shape)
+            self.gammas(shape + 1.0, count, out)
+            boost = self.uniforms(count, ws.take("boost", out.shape))
+            boost **= 1.0 / shape
+            out *= boost
+            return out
         d = shape - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
-        rows = self.rows
-        out = np.empty(rows * count)
-        pending = np.arange(rows * count)  # flat slots, row after row
+        # the most counter offsets any round can read, taken up front so
+        # that a later call of the same shape never regrows them
+        ws.steps(max(3, rows) * count)
+        flat = out.reshape(-1)
+        pending = None  # before the first round: every slot, in order
         m, row = count, None
-        while pending.size:
-            u1, u2, u = _to_uniforms(self._draw(3, m, row))
-            x = _box_muller(u1, u2)
-            v = (1.0 + c * x) ** 3
-            pos = v > 0.0
-            x2 = x * x
-            accept = pos & (u < 1.0 - 0.0331 * x2 * x2)
-            slow = np.flatnonzero(pos & ~accept)
+        while True:
+            u1, u2, u = self._uniform_lanes(3, m, row)
+            x = _box_muller(u1, u2, u1)
+            v = np.multiply(x, c, out=u2)
+            v += 1.0
+            v **= 3
+            pos = np.greater(v, 0.0, out=ws.take("pos", v.shape, bool))
+            x2 = np.multiply(x, x, out=x)
+            bound = np.multiply(x2, 0.0331, out=ws.take("bound", v.shape))
+            bound *= x2
+            accept = np.less(u, np.subtract(1.0, bound, out=bound),
+                             out=ws.take("accept", v.shape, bool))
+            accept &= pos
+            pos ^= accept  # accept implies pos: now pos & ~accept
+            slow = np.flatnonzero(pos)
             if slow.size:
                 vs = v[slow]
                 accept[slow] = np.log(u[slow]) < (
                     0.5 * x2[slow] + d * (1.0 - vs + np.log(vs)))
-            out[pending[accept]] = d * v[accept]
-            pending = pending[~accept]
+            if pending is None:  # slot p is candidate p: write in place
+                np.multiply(v, d, out=flat, where=accept)
+                pending = np.flatnonzero(np.logical_not(accept, out=pos))
+            else:
+                flat[pending[accept]] = d * v[accept]
+                pending = pending[~accept]
+            if not pending.size:
+                return out
             if rows == 1:
                 m = pending.size
             else:
                 row = pending // count
                 m = np.bincount(row, minlength=rows).astype(_U64)
-        return out.reshape(rows, count)
 
 
 class Stream:

@@ -197,6 +197,26 @@ class TestExactQuadrature:
         with pytest.raises(MomentDomainError, match="fourth moment"):
             covariance_exact_quadrature(law, h, l)
 
+    @pytest.mark.parametrize("law", [LawSpec.beta(7.0, 0.7),
+                                     LawSpec.beta(2.0, 0.5)], ids=str)
+    def test_refuses_density_unbounded_at_one(self, law):
+        """Beta(7, 0.7) once gave s11 = -862 (exact-moments: 203.8) and
+        Beta(2, 0.5) a non-finite integrand at x = 1; both are refused
+        before any integration, and exact-moments still answers."""
+        h, l = influence_pair(law)
+        with pytest.raises(DomainError, match=r"exact-quadrature .* b = "
+                           r"\S+ < 1; use exact-moments"):
+            sigma_for(SigmaMethod.EXACT_QUADRATURE, law, h, l)
+        assert sigma_for(SigmaMethod.EXACT_MOMENTS, law, h, l).s11 > 0.0
+
+    def test_density_unbounded_at_zero_converges(self):
+        law = LawSpec.beta(0.5, 2.0)
+        h, l = influence_pair(law)
+        ref = covariance_exact_moments(law, h, l)
+        quad = sigma_for(SigmaMethod.EXACT_QUADRATURE, law, h, l)
+        assert quad.s11 == pytest.approx(ref.s11, rel=1e-3)
+        assert quad.s22 == pytest.approx(ref.s22, rel=1e-3)
+
     def test_method_tags(self):
         h, l = influence_pair(GAMMA23)
         assert covariance_exact_moments(GAMMA23, h, l).method \

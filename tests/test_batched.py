@@ -3,17 +3,19 @@ definitions: row samples, row estimates, row plugin statistics and whole
 blocks must equal the per-row results bit for bit."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momest import (Covariance2, DegenerateSampleError, LawSpec, RowStreams,
-                    SigmaMethod, SimulationConfig, Stream, covariance_plugin,
-                    empirical_moments, estimate, estimate_rows,
-                    influence_pair, plugin_rows, run_simulation, sample,
-                    sample_rows, substream_seed, write_report)
+from momest import (Covariance2, DegenerateSampleError, LawKind, LawSpec,
+                    RowStreams, SigmaMethod, SimulationConfig, Stream,
+                    Workspace, covariance_plugin, empirical_moments, estimate,
+                    estimate_rows, influence_pair, plugin_rows,
+                    run_simulation, sample, sample_rows, substream_seed,
+                    write_report)
 from momest import montecarlo
 from momest.montecarlo import _simulate_block, _thread_ranges
 
@@ -84,6 +86,93 @@ class TestRowSampler:
                     getattr(single, name)(*args).tobytes()
         assert [int(c) for c in streams._counters] == \
             [s.consumed for s in singles]
+
+
+def stream_reference(law, n, seed):
+    """``sample`` rebuilt from public :class:`Stream` draws, each of which
+    returns an array of its own."""
+    stream, a, b = Stream(seed), law.p1, law.p2
+    if law.kind is LawKind.GAMMA:
+        return stream.gammas(a, n) / b
+    if law.kind is LawKind.BETA:
+        g1, g2 = stream.gammas(a, n), stream.gammas(b, n)
+        return g1 / (g1 + g2)
+    g1, g2 = stream.gammas(0.5 * a, n), stream.gammas(0.5 * b, n)
+    return (b * g1) / (a * g2)
+
+
+class TestWorkspace:
+    """One workspace reused across calls: its buffers are recycled, and
+    never shared by two arrays that are live at once."""
+
+    REUSE_LAWS = (LawSpec.gamma(2.0, 3.0), LawSpec.gamma(0.5, 2.0),
+                  LawSpec.beta(2.0, 3.0), LawSpec.fisher(5.0, 12.0),
+                  LawSpec.beta(0.7, 0.5))
+
+    @pytest.mark.parametrize("law", REUSE_LAWS, ids=str)
+    @pytest.mark.parametrize("n", (7, 200))
+    def test_reuse_across_shrinking_and_growing_calls(self, law, n):
+        """Row counts shrink, as in a ragged last block, then grow past the
+        first.  Gamma(0.5, 2) draws its boost uniforms after a gamma batch;
+        Beta and Fisher draw two gamma batches that must not share a
+        buffer, and Beta(0.7, 0.5) boosts both.  Rows are checked after
+        every call has run, so no returned array may be a workspace buffer
+        either."""
+        workspace = Workspace()
+        row_seeds = iter(seeds(5 + 3 + 1 + 4 + 8))
+        calls = []
+        for rows in (5, 3, 1, 4, 8):
+            block = [next(row_seeds) for _ in range(rows)]
+            calls.append((block, sample_rows(law, n, block, workspace)))
+        for block, x in calls:
+            for r, seed in enumerate(block):
+                want = sample(law, n, seed).tobytes()
+                assert x[r].tobytes() == want
+                assert stream_reference(law, n, seed).tobytes() == want
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("n,b_total", [(5000, 10), (200, 250), (20, 2500)])
+    def test_blocks_reuse_the_first_blocks_buffers(self, law, n, b_total,
+                                                   monkeypatch):
+        """Every block of one ``_simulate_block`` call draws into the same
+        workspace, and after the first block no buffer is replaced, the
+        short last block included."""
+        seen = []
+
+        def spy(law, n, row_seeds, workspace):
+            x = sample_rows(law, n, row_seeds, workspace)
+            seen.append((workspace, dict(workspace._arrays)))
+            return x
+
+        monkeypatch.setattr(montecarlo, "sample_rows", spy)
+        h, l = influence_pair(law)
+        _simulate_block(law, n, MASTER, 1, b_total + 1, h, l)
+        rows = montecarlo.ROW_BLOCK_VALUES // n
+        assert len(seen) == -(-b_total // rows) >= 3
+        workspace, first = seen[0]
+        for ws, arrays in seen[1:]:
+            assert ws is workspace
+            assert arrays.keys() == first.keys()
+            assert all(arrays[name] is first[name] for name in first)
+
+    def test_each_thread_has_its_own_workspace(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        seen = []
+
+        def spy(law, n, row_seeds, workspace):
+            seen.append((threading.get_ident(), workspace))
+            return sample_rows(law, n, row_seeds, workspace)
+
+        monkeypatch.setattr(montecarlo, "sample_rows", spy)
+        run_simulation(SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=200,
+                                        replications=400, master_seed=5),
+                       workers=2)
+        by_thread = {}
+        for ident, workspace in seen:
+            by_thread.setdefault(ident, set()).add(workspace)
+        assert len(by_thread) == 2
+        assert all(len(found) == 1 for found in by_thread.values())
+        assert len(set.union(*by_thread.values())) == 2
 
 
 class TestRowEstimates:

@@ -219,6 +219,19 @@ class TestTestCommand:
         q2 = docs["exact-quadrature"]["omnibus"]["statistic"]
         assert q1 == pytest.approx(q2, rel=1e-4)
 
+    def test_exact_quadrature_refuses_beta_below_one(self, capsys, tmp_path):
+        law = LawSpec.beta(7.0, 0.7)
+        path = write_sample(tmp_path, sample(law, 200, 3))
+        code, out, err = run_cli(capsys, "test", "beta", "7", "0.7",
+                                 "--input", path, "--sigma",
+                                 "exact-quadrature")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "b = 0.7 < 1; use exact-moments" in err
+        code, _, _ = run_cli(capsys, "test", "beta", "7", "0.7", "--input",
+                             path, "--sigma", "exact-moments")
+        assert code in (EXIT_OK, EXIT_REJECT)
+
     def test_replication_sigma_rejected_for_single_sample(self, capsys,
                                                           tmp_path):
         path = write_sample(tmp_path, [1.0, 2.0, 3.0])
@@ -282,6 +295,17 @@ class TestSimulate:
                              "40", "--replications", "20", "--seed", "3")
         assert code == EXIT_OK
         assert (tmp_path / "envout" / "report.json").exists()
+
+    def test_exact_quadrature_refuses_beta_below_one(self, capsys,
+                                                     tmp_path):
+        out = tmp_path / "q"
+        code, _, err = run_cli(
+            capsys, "simulate", "beta", "2", "0.5", "--n", "50",
+            "--replications", "30", "--seed", "2", "--out", str(out),
+            "--sigma-methods", "exact-quadrature")
+        assert code == EXIT_INPUT
+        assert "exact-quadrature" in err and "use exact-moments" in err
+        assert not out.exists()
 
     def test_fisher_low_b_needs_nonexact_methods(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -43,6 +43,23 @@ class TestRawStream:
         assert mix64((13 + 0x9E3779B97F4A7C15) & MASK) == int(s.raw(1)[0])
 
 
+class TestOwnResults:
+    """A stream reuses its scratch arrays from draw to draw, but every array
+    it returns belongs to the caller."""
+
+    @pytest.mark.parametrize("draw,args", [
+        ("raw", (50,)), ("uniforms", (50,)), ("normals", (50,)),
+        ("gammas", (2.5, 50)), ("gammas", (0.4, 50))], ids=str)
+    def test_result_survives_later_draws(self, draw, args):
+        stream = Stream(21)
+        first = getattr(stream, draw)(*args)
+        kept = first.copy()
+        for name, more in (("raw", (50,)), ("normals", (50,)),
+                           ("gammas", (0.4, 50))):
+            getattr(stream, name)(*more)
+        assert first.tobytes() == kept.tobytes()
+
+
 class TestUniforms:
     def test_open_interval(self):
         u = Stream(3).uniforms(100_000)
