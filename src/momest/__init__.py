@@ -22,10 +22,10 @@ from .montecarlo import (ErrorStats, SimulationConfig, SimulationReport,
 from .reportio import report_to_dict, write_report
 from .rng import RowStreams, Stream, Workspace, substream_seed
 from .significance import TestReport, marginal_test, omnibus_test
-from .special import (COARSE_QUAD_CONFIG, DEFAULT_QUAD_CONFIG,
-                      QuadratureConfig, chisq_cdf, chisq_quantile, chisq_sf,
-                      ln_gamma, normal_cdf, normal_quantile, normal_sf,
-                      reg_inc_beta, reg_inc_gamma, trapezoid_integrate)
+from .special import (DEFAULT_QUAD_CONFIG, QuadratureConfig, chisq_cdf,
+                      chisq_quantile, chisq_sf, ln_gamma, normal_cdf,
+                      normal_quantile, normal_sf, reg_inc_beta, reg_inc_gamma,
+                      trapezoid_integrate)
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "report_to_dict", "write_report",
     "RowStreams", "Stream", "Workspace", "substream_seed",
     "TestReport", "marginal_test", "omnibus_test",
-    "COARSE_QUAD_CONFIG", "DEFAULT_QUAD_CONFIG", "QuadratureConfig",
+    "DEFAULT_QUAD_CONFIG", "QuadratureConfig",
     "chisq_cdf", "chisq_quantile", "chisq_sf", "ln_gamma", "normal_cdf",
     "normal_quantile", "normal_sf", "reg_inc_beta", "reg_inc_gamma",
     "trapezoid_integrate",

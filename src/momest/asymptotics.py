@@ -140,6 +140,10 @@ class Covariance2:
     @classmethod
     def build(cls, s11: float, s22: float, s12: float,
               method: SigmaMethod) -> "Covariance2":
+        if not all(math.isfinite(v) for v in (s11, s22, s12)):
+            raise DomainError(
+                f"covariance entries must be finite, got s11={s11}, "
+                f"s22={s22}, s12={s12}")
         s11, s22 = _clamp_entries(s11, s22, s12)
         return cls(s11=float(s11), s22=float(s22), s12=float(s12),
                    det=float(s11 * s22 - s12 * s12), method=method)

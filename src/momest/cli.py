@@ -14,10 +14,11 @@ Exit codes (so pipelines can branch without parsing text):
 * 3  the omnibus test rejected at the 5% level
 * 4  the covariance estimate was too close to singular for a joint test
 
-Sample files are UTF-8, one decimal per line; ``#`` starts a comment.  With
-``--column NAME`` the input is parsed as a headered CSV instead.  The only
-environment variable consulted is ``MOMEST_OUTDIR``, the default output
-directory of ``simulate``.
+Sample files are UTF-8, with or without a leading byte-order mark, one
+decimal per line; ``#`` starts a comment.  With ``--column NAME`` the input
+is parsed as a headered CSV instead.  The only environment variable
+consulted is ``MOMEST_OUTDIR``, the default output directory of
+``simulate``.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
     values = (_parse_csv(text, column, path) if column is not None

@@ -65,8 +65,9 @@ def empirical_moments(sample) -> EmpiricalMoments:
 
     Uses the two-pass variance so that var_biased >= 0 holds exactly;
     mean_sq is reconstructed as var_biased + mean^2, keeping the identity
-    between the three fields exact in floating point.  Non-finite values
-    raise :class:`DomainError`.
+    between the three fields exact in floating point.  Non-finite values,
+    and finite values too large for a moment to stay finite, raise
+    :class:`DomainError`.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1:
@@ -80,15 +81,17 @@ def empirical_moments(sample) -> EmpiricalMoments:
         raise DomainError(
             f"sample has {bad.size} non-finite value(s), the first at "
             f"index {bad[0]}")
-    mean, var_biased = (float(v[0]) for v in _row_moments(x[None, :]))
+    with np.errstate(over="ignore"):  # reported below by name
+        mean, var_biased = (float(v[0]) for v in _row_moments(x[None, :]))
     mean_sq, var_unbiased = _derived(mean, var_biased, n)
-    return EmpiricalMoments(
-        n=n,
-        mean=mean,
-        mean_sq=mean_sq,
-        var_unbiased=var_unbiased,
-        var_biased=var_biased,
-    )
+    moments = {"mean": mean, "var_biased": var_biased, "mean_sq": mean_sq,
+               "var_unbiased": var_unbiased}
+    for name, value in moments.items():
+        if not math.isfinite(value):
+            raise DomainError(
+                f"sample moment {name} overflowed to {value}: the values are "
+                f"too large for double precision")
+    return EmpiricalMoments(n=n, **moments)
 
 
 def _row_moments(x: np.ndarray) -> tuple:

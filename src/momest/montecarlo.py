@@ -8,8 +8,8 @@ seed of the master seed), estimates (a_hat, b_hat) on each, and aggregates:
 * per-replication plugin statistics sd(H(X)), sd(L(X)), cov(H(X), L(X)),
 * point-estimation error summaries (ME, MAE, RMSE and the sd variant),
 * estimated-over-exact variance ratios,
-* empirical rejection rates of the marginal and omnibus tests under every
-  selected covariance method.
+* the share of replications that the marginal and omnibus tests of
+  ``momest test`` (:mod:`momest.significance`) reject at 5%, per sigma method.
 
 Replications violating an estimator precondition are counted as infeasible
 and excluded (never resampled, which would bias calibration rates).
@@ -35,8 +35,9 @@ from .errors import (DegenerateSampleError, DomainError,
 from .estimation import estimate_rows
 from .laws import LawSpec, sample_rows
 from .rng import Workspace, substream_seed
-from .significance import Z_CRIT_5PCT, det_floor
-from .special import chisq_quantile, normal_quantile
+from .significance import (_marginal_core, _omnibus_core, _rejects,
+                           det_floor)
+from .special import normal_quantile
 
 __all__ = [
     "SimulationConfig",
@@ -49,8 +50,6 @@ __all__ = [
     "parzen_density",
     "silverman_bandwidth",
 ]
-
-_CHI2_CRIT_5PCT = chisq_quantile(0.95, 2)
 
 #: Sample values per row block of the replication engine: 81 replications
 #: at n = 200, three at n = 5000, one at n >= 8193.  Larger blocks spend
@@ -285,25 +284,25 @@ def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
 
 def _attach_rates(report: SimulationReport,
                   sigmas: Dict[SigmaMethod, Covariance2]) -> None:
-    """Empirical rejection rates of the marginal and omnibus tests for every
-    selected covariance method."""
+    """Share of feasible replications on which each test of ``momest test``
+    rejects at 5%, per selected covariance method: nan for a non-positive
+    variance entry, None for a Σ too close to singular."""
+    law, n = report.config.law, report.config.n
+    a_hat, b_hat = report.a_hat, report.b_hat
     for method in report.config.sigma_methods:
-        sig = sigmas[method]
-        tag = method.value
-        for param, dev in (("a", report.dev_a), ("b", report.dev_b)):
-            var_entry = sig.s11 if param == "a" else sig.s22
+        sig, tag = sigmas[method], method.value
+        for param, est, theta0, var_entry in (("a", a_hat, law.p1, sig.s11),
+                                              ("b", b_hat, law.p2, sig.s22)):
+            rate = float("nan")
             if var_entry > 0.0:
-                rate = float(np.mean(
-                    np.abs(dev) > Z_CRIT_5PCT * np.sqrt(var_entry)))
-            else:
-                rate = float("nan")
+                _, p = _marginal_core(est, theta0, var_entry, n)
+                rate = float(np.mean(_rejects(p)))
             report.marginal_rates[f"{param}:{tag}"] = rate
+        rate = None
         if sig.det > det_floor(sig):
-            q = (sig.s22 * report.dev_a ** 2 + sig.s11 * report.dev_b ** 2
-                 - 2.0 * sig.s12 * report.dev_a * report.dev_b) / sig.det
-            report.omnibus_rates[tag] = float(np.mean(q > _CHI2_CRIT_5PCT))
-        else:
-            report.omnibus_rates[tag] = None
+            _, p = _omnibus_core(a_hat, b_hat, law.p1, law.p2, n, sig)
+            rate = float(np.mean(_rejects(p)))
+        report.omnibus_rates[tag] = rate
 
 
 def qq_plot_data(values) -> np.ndarray:

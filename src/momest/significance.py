@@ -1,9 +1,12 @@
 """Marginal Gaussian tests per parameter and the joint omnibus chi-square
-test on both parameters at once."""
+test on both: ``momest test`` runs them on one estimate, the Monte-Carlo
+harness on arrays of estimates, and both reject when p < ALPHA, strictly."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .asymptotics import Covariance2
 from .errors import DomainError, SingularCovarianceError
@@ -29,14 +32,33 @@ class TestReport:
     sigma_method: str = ""
 
 
+def _marginal_core(theta_hat, theta0: float, var_entry: float, n: int):
+    """z and its two-sided normal p-value, elementwise."""
+    z = (n / var_entry) ** 0.5 * (theta_hat - theta0)
+    return z, 2.0 * normal_sf(np.abs(z))
+
+
+def _omnibus_core(a_hat, b_hat, a0: float, b0: float, n: int,
+                  sigma: Covariance2):
+    """Q, clipped at 0, and its chi-square(2) p-value, elementwise."""
+    da = a_hat - a0
+    db = b_hat - b0
+    q = (n / sigma.det) * (sigma.s22 * da * da + sigma.s11 * db * db
+                           - 2.0 * sigma.s12 * da * db)
+    q = np.maximum(q, 0.0)
+    return q, chisq_sf(q, 2)
+
+
+def _rejects(p):
+    return p < ALPHA
+
+
 def marginal_test(theta_hat: float, theta0: float, var_entry: float,
                   n: int, sigma_method: str = "") -> TestReport:
     """Two-sided Gaussian test of one parameter.
 
     Statistic z = sqrt(n / var_entry) (theta_hat - theta0) with var_entry
-    the matching diagonal entry of the asymptotic covariance; rejection at
-    5% is the strict inequality p < 0.05, equivalently |z| above the 0.975
-    normal quantile.
+    the matching diagonal entry of the asymptotic covariance.
     """
     if not var_entry > 0.0:
         raise DomainError(
@@ -44,10 +66,9 @@ def marginal_test(theta_hat: float, theta0: float, var_entry: float,
             f"{var_entry}")
     if n < 2:
         raise DomainError(f"marginal test requires n >= 2, got {n}")
-    z = (n / var_entry) ** 0.5 * (theta_hat - theta0)
-    p = 2.0 * normal_sf(abs(z))
+    z, p = _marginal_core(theta_hat, theta0, var_entry, n)
     return TestReport(statistic=float(z), df=0, p_value=float(p),
-                      reject_at_5pct=bool(p < ALPHA),
+                      reject_at_5pct=bool(_rejects(p)),
                       sigma_method=sigma_method)
 
 
@@ -62,20 +83,16 @@ def omnibus_test(a_hat: float, b_hat: float, a0: float, b0: float,
 
     Q = n / det [ s22 (a_hat-a0)^2 + s11 (b_hat-b0)^2
                   - 2 s12 (a_hat-a0)(b_hat-b0) ]
-    has a chi-square(2) limit when sigma is nonsingular.
+    has a chi-square(2) limit when sigma is nonsingular; a sigma whose det
+    is not above :func:`det_floor` (a NaN det never is) is refused.
     """
     if n < 2:
         raise DomainError(f"omnibus test requires n >= 2, got {n}")
-    if sigma.det <= det_floor(sigma):
+    if not sigma.det > det_floor(sigma):
         raise SingularCovarianceError(
             f"covariance too close to singular for a joint test "
             f"(det={sigma.det}, floor={det_floor(sigma)})")
-    da = a_hat - a0
-    db = b_hat - b0
-    q = (n / sigma.det) * (sigma.s22 * da * da + sigma.s11 * db * db
-                           - 2.0 * sigma.s12 * da * db)
-    q = max(q, 0.0)
-    p = chisq_sf(q, 2)
+    q, p = _omnibus_core(a_hat, b_hat, a0, b0, n, sigma)
     return TestReport(statistic=float(q), df=2, p_value=float(p),
-                      reject_at_5pct=bool(p < ALPHA),
+                      reject_at_5pct=bool(_rejects(p)),
                       sigma_method=sigma.method.value)

@@ -22,7 +22,6 @@ from .errors import DomainError, QuadratureError
 __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUAD_CONFIG",
-    "COARSE_QUAD_CONFIG",
     "ln_gamma",
     "reg_inc_gamma",
     "reg_inc_gamma_inv",
@@ -182,9 +181,6 @@ class QuadratureConfig:
 
 #: Accurate default used everywhere in the library.
 DEFAULT_QUAD_CONFIG = QuadratureConfig(panels=100, tol=1e-8, max_doublings=16)
-
-#: Coarse settings (100 panels, 1e-4) matching the historical reference runs.
-COARSE_QUAD_CONFIG = QuadratureConfig(panels=100, tol=1e-4, max_doublings=16)
 
 
 def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:

@@ -344,6 +344,13 @@ class TestCovariance2:
         with pytest.raises(DomainError):
             Covariance2.build(1.0, 1.0, 1.5, SigmaMethod.EXACT_MOMENTS)
 
+    @pytest.mark.parametrize("entries", [
+        (float("nan"), 1.0, 0.0), (1.0, float("inf"), 0.0),
+        (1.0, 1.0, float("nan")), (float("inf"), float("inf"), 0.0)])
+    def test_build_refuses_non_finite(self, entries):
+        with pytest.raises(DomainError, match="finite"):
+            Covariance2.build(*entries, SigmaMethod.PLUGIN)
+
     def test_tiny_negative_clamped(self):
         sig = Covariance2.build(-1e-15, 1.0, 0.0, SigmaMethod.REPLICATION)
         assert sig.s11 == 0.0

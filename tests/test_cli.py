@@ -171,6 +171,42 @@ class TestNonFiniteInput:
         assert f"{path}:3: 'NaN' is not a finite number" in err
 
 
+class TestOverflowingMoments:
+    """Finite values whose squares overflow pass the parser but must not
+    reach the estimator as inf or nan moments."""
+
+    @pytest.mark.parametrize("command", [
+        ("estimate", "gamma"), ("test", "gamma", "2", "3")])
+    def test_exit_input(self, capsys, tmp_path, command):
+        path = write_sample(tmp_path, [1e200, 2e200, 3e200])
+        code, out, err = run_cli(capsys, *command, "--input", path)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "var_biased overflowed" in err
+
+
+class TestByteOrderMark:
+    def test_plain(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("1.5\n2.5\n3.1\n", encoding="utf-8")
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = [run_cli(capsys, "estimate", "gamma", "--input", str(p),
+                           "--format", "json")[:2] for p in (plain, marked)]
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[1] == outputs[0]
+
+    def test_csv_first_column(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("\ufeffvalue,id\n0.25,1\n0.5,2\n0.75,3\n"
+                         .encode("utf-8"))
+        code, out, _ = run_cli(capsys, "estimate", "uniform", "--input",
+                               str(path), "--column", "value",
+                               "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["moments"]["mean"] == 0.5
+
+
 class TestTestCommand:
     def test_null_acceptance_rate(self, capsys, tmp_path):
         """Seeded replications from the hypothesized law mostly accept."""

@@ -2,14 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momest import (DegenerateSampleError, DomainError, EmpiricalMoments,
                     InfeasibleMomentError, InsufficientDataError, LawKind,
-                    LawSpec, empirical_moments, estimate, sample,
-                    theoretical_moments)
+                    LawSpec, empirical_moments, estimate, estimate_rows,
+                    sample, theoretical_moments)
 
 
 def moments_at(m1, m2, n=1000):
@@ -191,6 +192,30 @@ class TestNonFiniteSample:
         with pytest.raises(DomainError) as info:
             empirical_moments([1.0, float("inf")])
         assert not isinstance(info.value, DegenerateSampleError)
+
+
+class TestOverflowingMoments:
+    @pytest.mark.parametrize("values,name", [
+        ([1e308, 1e308], "mean"),
+        ([1e200, 2e200, 3e200], "var_biased"),
+        ([1e160, 1.0000001e160], "mean_sq"),
+    ])
+    def test_named_domain_error(self, values, name):
+        with pytest.raises(DomainError) as info:
+            empirical_moments(values)
+        assert f"sample moment {name} overflowed" in str(info.value)
+
+    def test_large_finite_values_keep_their_bits(self):
+        """Just below overflow nothing changes: the library path still
+        equals the row-block estimator bit for bit."""
+        row = [1e150, 2e150, 3.5e150]
+        em = empirical_moments(row)
+        assert math.isfinite(em.mean_sq)
+        est = estimate(LawKind.GAMMA, em)
+        a_hat, b_hat, feasible = estimate_rows(LawKind.GAMMA,
+                                               np.array([row]))
+        assert feasible.tolist() == [True]
+        assert (est.a_hat, est.b_hat) == (a_hat[0], b_hat[0])
 
 
 class TestConsistency:

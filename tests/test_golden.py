@@ -1,5 +1,5 @@
-"""Frozen SHA-256 digests of sampler output, one simulate bundle and the JSON
-stdout of ``coeffs`` and ``test``.
+"""Frozen SHA-256 digests of sampler output, two simulate bundles and the
+JSON stdout of ``coeffs`` and ``test``.
 
 The values were frozen before the Σ routes, influence values and
 serialisers were merged into one definition each, and they must not move
@@ -11,8 +11,8 @@ import hashlib
 
 import pytest
 
-from momest import (LawSpec, SigmaMethod, SimulationConfig, run_simulation,
-                    sample, write_report)
+from momest import (CoefficientMode, LawSpec, SigmaMethod, SimulationConfig,
+                    run_simulation, sample, write_report)
 from momest.cli import EXIT_OK, main
 
 
@@ -73,17 +73,48 @@ BUNDLE_DIGESTS = {
 }
 
 
-def bundle_bytes(outdir) -> dict:
-    cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=60, replications=40,
-                           master_seed=31, sigma_methods=tuple(SigmaMethod))
+#: Every file of a Fisher(5, 12) study in verbatim mode at n=10, B=2000,
+#: seed 7 with all four sigma methods: 1105 replications are infeasible and
+#: the aggregated plugin sigma is too close to singular for an omnibus rate.
+FISHER_BUNDLE_DIGESTS = {
+    "error_table.csv":
+        "3b6e24447b4a567093c636b4d6c0e328c6de9debd681f67b6b2bb273f3f09644",
+    "ratio_table.csv":
+        "552c3bf1b9d80517d38037641e6cd239a0a65f9d8b821e1b461e119455650a21",
+    "pvalues.csv":
+        "f80f745337de5c5112c35708aec7a6b00276616b400fc010ae6f882c53a43a78",
+    "omnibus.csv":
+        "1f0aff27e60b5fdf8dc3eec9695f076d782729a783fbe5d445288c026a70b3d4",
+    "qq_a.csv":
+        "d6b74c019920d05af7dcc16dafb7da796d034aac8f902c9daec00634eaab8b29",
+    "qq_b.csv":
+        "be1489b7868c9ebe777b4427d08c2727874db5d75ad26108cc81a97028ea923b",
+    "parzen_a.csv":
+        "d8afc4fca41e3e6f5b13c5d1d7f2b00ae3966214075d36eaa9c12ef9cb89ee76",
+    "parzen_b.csv":
+        "4540bc82a6b2c37816da77c0efeb5bc4655cdd6407f3b9ec6f79c8d9aa9e4a8b",
+    "report.json":
+        "6db904f60a31c7a8b472bf567df32f5fd68655fc8a70811afb98e629df2f79bb",
+}
+
+
+def bundle_digests(cfg, outdir) -> dict:
     paths = write_report(run_simulation(cfg), outdir)
-    return {p.name: p.read_bytes() for p in paths}
+    return {p.name: sha256(p.read_bytes()) for p in paths}
 
 
 def test_simulate_bundle(tmp_path):
-    files = bundle_bytes(tmp_path)
-    assert {name: sha256(data) for name, data in files.items()} \
-        == BUNDLE_DIGESTS
+    cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=60, replications=40,
+                           master_seed=31, sigma_methods=tuple(SigmaMethod))
+    assert bundle_digests(cfg, tmp_path) == BUNDLE_DIGESTS
+
+
+def test_simulate_bundle_fisher_verbatim(tmp_path):
+    cfg = SimulationConfig(law=LawSpec.fisher(5.0, 12.0), n=10,
+                           replications=2000, master_seed=7,
+                           coefficient_mode=CoefficientMode.VERBATIM,
+                           sigma_methods=tuple(SigmaMethod))
+    assert bundle_digests(cfg, tmp_path) == FISHER_BUNDLE_DIGESTS
 
 
 LAW_ARGS = {"gamma": ("2", "3"), "beta": ("2", "3"), "uniform": ("0", "1"),

@@ -11,10 +11,11 @@ import pytest
 
 from momest import (CoefficientMode, DegenerateSampleError, DomainError,
                     InsufficientDataError, LawKind, LawSpec, SigmaMethod,
-                    SimulationConfig, covariance_exact_moments,
-                    empirical_moments, error_table, estimate, influence_pair,
-                    normal_quantile, parzen_density, qq_plot_data,
-                    ratio_table, run_simulation, sample, substream_seed,
+                    SimulationConfig, SingularCovarianceError,
+                    covariance_exact_moments, empirical_moments, error_table,
+                    estimate, influence_pair, marginal_test, normal_quantile,
+                    omnibus_test, parzen_density, qq_plot_data, ratio_table,
+                    run_simulation, sample, sigma_for, substream_seed,
                     write_report)
 from momest import montecarlo
 from momest.montecarlo import _aggregate_plugin
@@ -276,6 +277,78 @@ class TestParzen:
             parzen_density([0.0, 1.0], 2.0, 1.0, 11)
         with pytest.raises(DomainError):
             parzen_density([0.0, 1.0], 0.0, 1.0, 1)
+
+
+def study_sigma(report, method):
+    """The Σ a study used for ``method``."""
+    if method is SigmaMethod.PLUGIN:
+        return report.sigma_plugin
+    if method is SigmaMethod.REPLICATION:
+        return report.sigma_replication
+    return sigma_for(method, report.config.law, report.influence_a,
+                     report.influence_b)
+
+
+RATE_STUDIES = [
+    SimulationConfig(law=law, n=30, replications=300, master_seed=11,
+                     sigma_methods=tuple(SigmaMethod))
+    for law in (GAMMA23, LawSpec.beta(2.0, 3.0), LawSpec.uniform(0.0, 1.0),
+                LawSpec.fisher(5.0, 12.0))
+] + [
+    # 1105 of 2000 infeasible; the aggregated plugin Σ is singular
+    SimulationConfig(law=LawSpec.fisher(5.0, 12.0), n=10, replications=2000,
+                     master_seed=7, coefficient_mode=CoefficientMode.VERBATIM,
+                     sigma_methods=tuple(SigmaMethod)),
+]
+
+
+class TestRatesAreTheCliTests:
+    """Every rate is the share of feasible replications on which
+    ``marginal_test`` or ``omnibus_test``, the tests ``momest test`` runs,
+    reject at 5% with the study's Σ."""
+
+    @pytest.mark.parametrize("cfg", RATE_STUDIES,
+                             ids=lambda c: f"{c.law}-n{c.n}")
+    def test_rates_equal_mean_of_decisions(self, cfg):
+        report = run_simulation(cfg)
+        law, n = cfg.law, cfg.n
+        estimates = list(zip(report.a_hat.tolist(), report.b_hat.tolist()))
+        for method in cfg.sigma_methods:
+            sig, tag = study_sigma(report, method), method.value
+            for k, (param, var_entry) in enumerate((("a", sig.s11),
+                                                    ("b", sig.s22))):
+                theta0 = (law.p1, law.p2)[k]
+                decisions = [marginal_test(est[k], theta0, var_entry, n)
+                             .reject_at_5pct for est in estimates]
+                assert report.marginal_rates[f"{param}:{tag}"] \
+                    == np.mean(decisions)
+            try:
+                decisions = [omnibus_test(a, b, law.p1, law.p2, n, sig)
+                             .reject_at_5pct for a, b in estimates]
+            except SingularCovarianceError:
+                assert report.omnibus_rates[tag] is None
+            else:
+                assert report.omnibus_rates[tag] == np.mean(decisions)
+
+    def test_singular_plugin_case_is_reached(self):
+        report = run_simulation(RATE_STUDIES[-1])
+        assert report.infeasible_count == 1105
+        assert report.omnibus_rates["plugin"] is None
+        assert report.omnibus_rates["replication"] is not None
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_two_replications_give_no_replication_omnibus_rate(self, seed):
+        """Two replications give a rank-one Σ whose determinant is round-off:
+        positive but below the floor for seed 2, negative for seed 3."""
+        cfg = SimulationConfig(law=GAMMA23, n=50, replications=2,
+                               master_seed=seed,
+                               sigma_methods=(SigmaMethod.REPLICATION,))
+        report = run_simulation(cfg)
+        assert (report.sigma_replication.det > 0.0) == (seed == 2)
+        assert report.omnibus_rates == {"replication": None}
+        with pytest.raises(SingularCovarianceError):
+            omnibus_test(report.a_hat[0], report.b_hat[0], 2.0, 3.0, 50,
+                         report.sigma_replication)
 
 
 class TestCalibrationChain:

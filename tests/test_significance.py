@@ -107,6 +107,17 @@ class TestOmnibus:
         with pytest.raises(SingularCovarianceError):
             omnibus_test(1.0, 1.0, 0.0, 0.0, 100, sig)
 
+    def test_nan_sigma_refused(self):
+        """A NaN determinant is never usable: the joint test raises rather
+        than returning Q = nan as a silent accept."""
+        nan = float("nan")
+        sig = Covariance2(s11=nan, s22=1.0, s12=0.0, det=nan,
+                          method=SigmaMethod.PLUGIN)
+        with pytest.raises(SingularCovarianceError):
+            omnibus_test(2.5, 3.0, 2.0, 3.0, 100, sig)
+        with pytest.raises(DomainError):
+            Covariance2.build(nan, 1.0, 0.0, SigmaMethod.PLUGIN)
+
     def test_pvalues_uniform_under_null(self):
         # Kolmogorov distance of the omnibus p-values from uniform
         law = LawSpec.gamma(2.0, 3.0)

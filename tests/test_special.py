@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from momest import (COARSE_QUAD_CONFIG, DEFAULT_QUAD_CONFIG, DomainError,
-                    LawSpec, QuadratureConfig, QuadratureError, chisq_cdf,
+from momest import (DEFAULT_QUAD_CONFIG, DomainError, LawSpec,
+                    QuadratureConfig, QuadratureError, chisq_cdf,
                     chisq_quantile, chisq_sf, ln_gamma, normal_cdf,
                     normal_quantile, quantile, reg_inc_beta, reg_inc_gamma,
                     trapezoid_integrate)
@@ -220,5 +220,3 @@ class TestTrapezoid:
             QuadratureConfig(tol=0.0)
         with pytest.raises(DomainError):
             QuadratureConfig(max_doublings=0)
-        assert COARSE_QUAD_CONFIG.tol == 1e-4
-        assert COARSE_QUAD_CONFIG.panels == 100
