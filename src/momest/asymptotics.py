@@ -184,6 +184,7 @@ def delta_gradient(kind: LawKind, m1: float, m2: float
     if kind is LawKind.GAMMA:
         _need(d > 0.0, f"gamma gradient requires m2 > m1^2, got d={d}")
         d2 = d * d
+        _need(d2 > 0.0, f"gamma gradient: d^2 underflows to 0, d={d}")
         return (2.0 * m1 * m2 / d2, -m1 * m1 / d2,
                 (m2 + m1 * m1) / d2, -m1 / d2)
     if kind is LawKind.BETA:
@@ -194,6 +195,7 @@ def delta_gradient(kind: LawKind, m1: float, m2: float
         na = m1 * (m1 - m2)
         nb = (1.0 - m1) * (m1 - m2)
         d2 = d * d
+        _need(d2 > 0.0, f"beta gradient: d^2 underflows to 0, d={d}")
         return (((2.0 * m1 - m2) * d + 2.0 * m1 * na) / d2,
                 (-m1 * d - na) / d2,
                 ((1.0 - 2.0 * m1 + m2) * d + 2.0 * m1 * nb) / d2,

@@ -16,9 +16,10 @@ Exit codes (so pipelines can branch without parsing text):
 
 Sample files are UTF-8, with or without a leading byte-order mark, one
 decimal per line; ``#`` starts a comment.  With ``--column NAME`` the input
-is parsed as a headered CSV instead.  The only environment variable
-consulted is ``MOMEST_OUTDIR``, the default output directory of
-``simulate``.
+is parsed as a headered CSV instead, reading the one column headed NAME;
+blank cells and short rows are skipped.  Errors name the line of the file.
+The only environment variable consulted is ``MOMEST_OUTDIR``, the default
+output directory of ``simulate``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import (CoefficientMode, SigmaMethod,
-                          covariance_exact_moments,
-                          covariance_exact_quadrature, influence_pair,
+from .asymptotics import (CoefficientMode, SigmaMethod, influence_pair,
                           sigma_for)
 from .errors import MomestError, SampleParseError, SingularCovarianceError
 from .estimation import empirical_moments, estimate
@@ -46,7 +45,6 @@ from .montecarlo import (DEFAULT_SIGMA_METHODS, SimulationConfig,
                          run_simulation)
 from .reportio import _sigma_dict, render_json, write_report
 from .significance import marginal_test, omnibus_test
-from .special import QuadratureConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -83,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_law(p)
     p.add_argument("--mode", type=CoefficientMode.parse, default="canonical",
                    help="canonical | verbatim (alias: paper)")
-    p.add_argument("--panels", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-doublings", type=int, default=16)
     add_format(p)
 
     p = sub.add_parser("estimate", help="moment estimates from a sample")
@@ -122,56 +117,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
+    """One value per line, or the ``column`` of a headered CSV."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
-    values = (_parse_csv(text, column, path) if column is not None
-              else _parse_lines(text, path))
+    values = []
+    if column is None:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            cell = line.split("#", 1)[0].strip()
+            if cell:
+                values.append(_number(cell, path, lineno))
+    else:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None or column not in header:
+            raise SampleParseError(
+                f"{path}: no CSV column named {column!r} (found {header})")
+        if header.count(column) > 1:
+            raise SampleParseError(
+                f"{path}: CSV column {column!r} is named more than once")
+        index = header.index(column)
+        for row in reader:
+            cell = row[index].strip() if index < len(row) else ""
+            if cell:
+                values.append(_number(cell, path, reader.line_num))
     if not values:
         raise SampleParseError(f"{path}: no values found")
     return np.array(values)
 
 
-def _parse_lines(text: str, path: str) -> list[float]:
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        payload = line.split("#", 1)[0].strip()
-        if not payload:
-            continue
-        try:
-            value = float(payload)
-        except ValueError:
-            raise SampleParseError(
-                f"{path}:{lineno}: could not parse {payload!r} as a number")
-        if not isfinite(value):
-            raise SampleParseError(
-                f"{path}:{lineno}: {payload!r} is not a finite number")
-        values.append(value)
-    return values
-
-
-def _parse_csv(text: str, column: str, path: str) -> list[float]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or column not in reader.fieldnames:
+def _number(cell: str, path: str, lineno: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
         raise SampleParseError(
-            f"{path}: no CSV column named {column!r} "
-            f"(found {reader.fieldnames})")
-    values = []
-    for lineno, row in enumerate(reader, start=2):
-        cell = (row.get(column) or "").strip()
-        if not cell:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            raise SampleParseError(
-                f"{path}:{lineno}: could not parse {cell!r} as a number")
-        if not isfinite(value):
-            raise SampleParseError(
-                f"{path}:{lineno}: {cell!r} is not a finite number")
-        values.append(value)
-    return values
+            f"{path}:{lineno}: could not parse {cell!r} as a number")
+    if not isfinite(value):
+        raise SampleParseError(
+            f"{path}:{lineno}: {cell!r} is not a finite number")
+    return value
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
@@ -181,25 +166,11 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
         print("\n".join(text_lines))
 
 
-def _cov_dict(sigma) -> dict:
-    return {**_sigma_dict(sigma), "correlation": sigma.correlation}
-
-
 def cmd_coeffs(args) -> int:
     law = LawSpec(args.kind, args.a, args.b)
     h, l = influence_pair(law, args.mode)
-    cfg = QuadratureConfig(panels=args.panels, tol=args.tol,
-                           max_doublings=args.max_doublings)
-    sig_m = covariance_exact_moments(law, h, l)
-    sig_q = covariance_exact_quadrature(law, h, l, cfg)
-    payload = {
-        "law": str(law),
-        "mode": args.mode.value,
-        "influence_a": asdict(h),
-        "influence_b": asdict(l),
-        "sigma_exact_moments": _cov_dict(sig_m),
-        "sigma_exact_quadrature": _cov_dict(sig_q),
-    }
+    payload = {"law": str(law), "mode": args.mode.value,
+               "influence_a": asdict(h), "influence_b": asdict(l)}
     lines = [
         f"law: {law}   mode: {args.mode.value}",
         f"influence of a_hat: c1={h.c1:.10g} c2={h.c2:.10g} "
@@ -207,19 +178,26 @@ def cmd_coeffs(args) -> int:
         f"influence of b_hat: c1={l.c1:.10g} c2={l.c2:.10g} "
         f"center={l.center:.10g}",
     ]
-    for label, sig in (("exact-moments", sig_m), ("exact-quadrature", sig_q)):
+    for method in (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE):
+        sig = sigma_for(method, law, h, l)
+        payload[f"sigma_{method.name.lower()}"] = {
+            **_sigma_dict(sig), "correlation": sig.correlation}
         lines.append(
-            f"sigma [{label}]: s11={sig.s11:.10g} s22={sig.s22:.10g} "
+            f"sigma [{method.value}]: s11={sig.s11:.10g} s22={sig.s22:.10g} "
             f"s12={sig.s12:.10g} det={sig.det:.10g} "
             f"correlation={sig.correlation:.6f}")
     _emit(args, lines, payload)
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def _estimate_input(args):
     values = read_sample(args.input, args.column)
     em = empirical_moments(values)
-    est = estimate(args.kind, em)
+    return values, em, estimate(args.kind, em)
+
+
+def cmd_estimate(args) -> int:
+    _, em, est = _estimate_input(args)
     payload = {
         "law": args.kind.value,
         "n": em.n,
@@ -241,9 +219,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_test(args) -> int:
     law0 = LawSpec(args.kind, args.a0, args.b0)
-    values = read_sample(args.input, args.column)
-    em = empirical_moments(values)
-    est = estimate(args.kind, em)
+    values, em, est = _estimate_input(args)
     h, l = influence_pair(law0, args.mode)
     sigma = sigma_for(args.sigma, law0, h, l, values)
     rep_a = marginal_test(est.a_hat, args.a0, sigma.s11, em.n,

@@ -253,39 +253,48 @@ def sample_rows(law: LawSpec, n: int, seeds,
 
 
 def theoretical_moments(law: LawSpec) -> MomentSet:
-    """Closed-form m1..m4 and variance; nonexistent moments are ``None``."""
+    """Closed-form m1..m4 and variance; nonexistent moments are ``None``.
+    A moment whose power overflows or whose divisor underflows to zero in
+    floating point raises a DomainError naming the law and the moment."""
+    values = []
+    for order in (1, 2, 3, 4, None):
+        try:
+            values.append(_raw_moment(law, order) if order
+                          else _variance(law))
+        except (OverflowError, ZeroDivisionError):
+            what = f"{_ORDINALS[order]} moment" if order else "variance"
+            raise DomainError(f"the {what} of {law} is out of "
+                              f"floating-point range") from None
+    fisher = law.kind is LawKind.FISHER
+    return MomentSet(*values, constraint="b > {bound}" if fisher else "")
+
+
+def _raw_moment(law: LawSpec, k: int) -> Optional[float]:
     a, b = law.p1, law.p2
     if law.kind is LawKind.GAMMA:
-        ms = [a / b ** k * math.prod(a + j for j in range(1, k))
-              for k in (1, 2, 3, 4)]
-        return MomentSet(*ms, variance=a / b ** 2)
+        return a / b ** k * math.prod(a + j for j in range(1, k))
     if law.kind is LawKind.BETA:
-        ms = []
-        for k in (1, 2, 3, 4):
-            ms.append(math.prod((a + j) / (a + b + j) for j in range(k)))
-        var = a * b / ((a + b) ** 2 * (a + b + 1.0))
-        return MomentSet(*ms, variance=var)
+        return math.prod((a + j) / (a + b + j) for j in range(k))
     if law.kind is LawKind.UNIFORM:
-        ms = [_uniform_moment(a, b, k) for k in (1, 2, 3, 4)]
-        return MomentSet(*ms, variance=(b - a) ** 2 / 12.0)
+        # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)), written as a stable power sum
+        return sum(a ** (k - j) * b ** j for j in range(k + 1)) / (k + 1.0)
     # Fisher: E X^k = (b/a)^k prod_j (a/2 + j)/(b/2 - 1 - j), needs b > 2k
-    ms: list[Optional[float]] = []
-    for k in (1, 2, 3, 4):
-        if b > 2 * k:
-            value = (b / a) ** k
-            for j in range(k):
-                value *= (0.5 * a + j) / (0.5 * b - 1.0 - j)
-            ms.append(value)
-        else:
-            ms.append(None)
-    var = None
-    if b > 4.0:
-        var = (2.0 * b ** 2 * (a + b - 2.0)
-               / (a * (b - 2.0) ** 2 * (b - 4.0)))
-    return MomentSet(ms[0], ms[1], ms[2], ms[3], variance=var,
-                     constraint="b > {bound}")
+    if not b > 2 * k:
+        return None
+    value = (b / a) ** k
+    for j in range(k):
+        value *= (0.5 * a + j) / (0.5 * b - 1.0 - j)
+    return value
 
 
-def _uniform_moment(a: float, b: float, k: int) -> float:
-    # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)), written as a stable power sum
-    return sum(a ** (k - j) * b ** j for j in range(k + 1)) / (k + 1.0)
+def _variance(law: LawSpec) -> Optional[float]:
+    a, b = law.p1, law.p2
+    if law.kind is LawKind.GAMMA:
+        return a / b ** 2
+    if law.kind is LawKind.BETA:
+        return a * b / ((a + b) ** 2 * (a + b + 1.0))
+    if law.kind is LawKind.UNIFORM:
+        return (b - a) ** 2 / 12.0
+    if not b > 4.0:
+        return None
+    return 2.0 * b ** 2 * (a + b - 2.0) / (a * (b - 2.0) ** 2 * (b - 4.0))

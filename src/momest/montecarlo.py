@@ -34,9 +34,9 @@ from .errors import (DegenerateSampleError, DomainError,
                      InsufficientDataError, MomestError)
 from .estimation import estimate_rows
 from .laws import LawSpec, sample_rows
-from .rng import Workspace, substream_seed
+from .rng import Workspace, _substream_seeds
 from .significance import (_marginal_core, _omnibus_core, _rejects,
-                           det_floor)
+                           _usable_variance, det_floor)
 from .special import normal_quantile
 
 __all__ = [
@@ -196,8 +196,7 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
     workspace = Workspace()
     parts = []
     for lo in range(j_lo, j_hi, rows):
-        seeds = [substream_seed(master_seed, j)
-                 for j in range(lo, min(lo + rows, j_hi))]
+        seeds = _substream_seeds(master_seed, lo, min(lo + rows, j_hi))
         x = sample_rows(law, n, seeds, workspace)
         a_hat, b_hat, feasible = estimate_rows(law.kind, x)
         s11, s22, s12 = plugin_rows(x[feasible], h, l)
@@ -285,8 +284,8 @@ def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
 def _attach_rates(report: SimulationReport,
                   sigmas: Dict[SigmaMethod, Covariance2]) -> None:
     """Share of feasible replications on which each test of ``momest test``
-    rejects at 5%, per selected covariance method: nan for a non-positive
-    variance entry, None for a Σ too close to singular."""
+    rejects at 5%, per selected covariance method: nan for a variance entry
+    that is not positive and finite, None for a Σ too close to singular."""
     law, n = report.config.law, report.config.n
     a_hat, b_hat = report.a_hat, report.b_hat
     for method in report.config.sigma_methods:
@@ -294,7 +293,7 @@ def _attach_rates(report: SimulationReport,
         for param, est, theta0, var_entry in (("a", a_hat, law.p1, sig.s11),
                                               ("b", b_hat, law.p2, sig.s22)):
             rate = float("nan")
-            if var_entry > 0.0:
+            if _usable_variance(var_entry):
                 _, p = _marginal_core(est, theta0, var_entry, n)
                 rate = float(np.mean(_rejects(p)))
             report.marginal_rates[f"{param}:{tag}"] = rate

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["RowStreams", "Stream", "Workspace", "substream_seed", "mix64"]
+__all__ = ["RowStreams", "Stream", "Workspace", "substream_seed"]
 
 _MASK = (1 << 64) - 1
 _U64 = np.uint64
@@ -101,19 +101,17 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray, out: np.ndarray
     return out
 
 
-def mix64(value: int) -> int:
-    """The splitmix64 finalizer on a single 64-bit integer."""
-    z = value & _MASK
-    z = ((z ^ (z >> 30)) * int(_MUL1)) & _MASK
-    z = ((z ^ (z >> 27)) * int(_MUL2)) & _MASK
-    return z ^ (z >> 31)
+def _substream_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Seeds of substreams lo..hi-1 (lo >= 1) of ``master_seed``, uint64."""
+    z = np.arange(lo, hi, dtype=_U64) * _SUBSTREAM + _U64(master_seed & _MASK)
+    return _mix(z, np.empty_like(z))
 
 
 def substream_seed(master_seed: int, index: int) -> int:
     """Derived seed for substream ``index`` (>= 1) of ``master_seed``."""
     if index < 1:
         raise DomainError(f"substream index must be >= 1, got {index}")
-    return mix64(master_seed + index * int(_SUBSTREAM))
+    return int(_substream_seeds(master_seed, index, index + 1)[0])
 
 
 class Workspace:

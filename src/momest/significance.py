@@ -53,6 +53,11 @@ def _rejects(p):
     return p < ALPHA
 
 
+def _usable_variance(var_entry: float) -> bool:
+    """A variance entry a marginal test can divide by: 0 < var < inf."""
+    return 0.0 < var_entry < np.inf
+
+
 def marginal_test(theta_hat: float, theta0: float, var_entry: float,
                   n: int, sigma_method: str = "") -> TestReport:
     """Two-sided Gaussian test of one parameter.
@@ -60,9 +65,9 @@ def marginal_test(theta_hat: float, theta0: float, var_entry: float,
     Statistic z = sqrt(n / var_entry) (theta_hat - theta0) with var_entry
     the matching diagonal entry of the asymptotic covariance.
     """
-    if not var_entry > 0.0:
+    if not _usable_variance(var_entry):
         raise DomainError(
-            f"marginal test requires a positive variance entry, got "
+            f"marginal test requires a positive finite variance entry, got "
             f"{var_entry}")
     if n < 2:
         raise DomainError(f"marginal test requires n >= 2, got {n}")

@@ -76,6 +76,14 @@ class TestDeltaGradient:
         with pytest.raises(DomainError):
             delta_gradient(LawKind.FISHER, 0.9, 2.0)  # mean below 1
 
+    @pytest.mark.parametrize("law", [LawSpec.beta(1e-300, 2.0),
+                                     LawSpec.gamma(1e-300, 1.0)], ids=str)
+    def test_squared_variance_underflow(self, law):
+        """d > 0 whose square underflows to 0 would divide by zero."""
+        m = theoretical_moments(law)
+        with pytest.raises(DomainError, match="d\\^2 underflows to 0"):
+            delta_gradient(law.kind, m.require(1), m.require(2))
+
 
 class TestInfluencePair:
     def test_gamma_canonical(self):

@@ -72,6 +72,23 @@ class TestCoeffs:
             main(["coeffs", "cauchy", "1", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--panels", "--tol",
+                                      "--max-doublings"])
+    def test_quadrature_flags_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "gamma", "2", "3", flag, "50"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("law", [
+        ("gamma", "2", "1e-200"), ("gamma", "2", "1e200"),
+        ("uniform", "1e100", "2e100"), ("fisher", "1e-300", "12"),
+        ("beta", "1e-300", "2"), ("gamma", "1e300", "1")], ids=" ".join)
+    def test_extreme_parameters_exit_input(self, capsys, law):
+        code, out, err = run_cli(capsys, "coeffs", *law)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEstimate:
     def test_degenerate_sample(self, capsys, tmp_path):
@@ -123,6 +140,46 @@ class TestEstimate:
                                "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["n"] == 3
+
+    def test_csv_line_numbers_count_blank_rows(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("index,value\n1,2\n\n3,x\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "estimate", "gamma", "--input",
+                               str(path), "--column", "value")
+        assert code == EXIT_INPUT
+        assert f"{path}:4: could not parse 'x' as a number" in err
+
+    def test_csv_repeated_column_refused(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("value,id,value\n0.25,1,9\n0.5,2,9\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "estimate", "uniform", "--input",
+                                 str(path), "--column", "value")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "'value'" in err and "more than once" in err
+
+    def test_csv_short_rows_skipped(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,value\n1,0.25\n2\n3,0.75\n4,\n5,0.5\n",
+                        encoding="utf-8")
+        code, out, _ = run_cli(capsys, "estimate", "uniform", "--input",
+                               str(path), "--column", "value",
+                               "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["n"], doc["moments"]["mean"]) == (3, 0.5)
+
+    def test_csv_quoted_cell_with_comma(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('label,value\n"a, b",0.25\n"c",0.5\n'
+                        '"d,e,f"," 0.75 "\n', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "estimate", "uniform", "--input",
+                               str(path), "--column", "value",
+                               "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["n"], doc["moments"]["mean"]) == (3, 0.5)
 
     def test_csv_missing_column(self, capsys, tmp_path):
         path = tmp_path / "data.csv"

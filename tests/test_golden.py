@@ -1,5 +1,5 @@
-"""Frozen SHA-256 digests of sampler output, two simulate bundles and the
-JSON stdout of ``coeffs`` and ``test``.
+"""Frozen SHA-256 digests of sampler output, two simulate bundles, the
+JSON and text stdout of ``coeffs`` and the JSON stdout of ``test``.
 
 The values were frozen before the Σ routes, influence values and
 serialisers were merged into one definition each, and they must not move
@@ -8,6 +8,7 @@ one only for a deliberate change of output, and say so in CHANGES.md.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,26 @@ def test_coeffs_json(capsys, kind, mode):
     assert sha256(out.encode()) == COEFFS_DIGESTS[(kind, mode)]
 
 
+#: stdout of ``coeffs KIND A B`` in the default text format and mode.
+COEFFS_TEXT_DIGESTS = {
+    "gamma":
+        "0bad1230c16a2298343266b3a76d37667d727baccebfb159d556296ed7f9cc89",
+    "beta":
+        "6dfeb9ced8bbe983cac4ecd5996768a22b0ec8f9fd73ceecc5d0f69591bc848e",
+    "uniform":
+        "78f4938c570e52c5bbc8edcaac307f73ca22ffd158139eadb1ddc0a1e183880b",
+    "fisher":
+        "b3f28b06c98a801321b411be7a48e5072cedbf42a615dbbb8f2b959146cb11bf",
+}
+
+
+@pytest.mark.parametrize("kind", list(COEFFS_TEXT_DIGESTS))
+def test_coeffs_text(capsys, kind):
+    code, out = run_cli(capsys, "coeffs", kind, *LAW_ARGS[kind])
+    assert code == EXIT_OK
+    assert sha256(out.encode()) == COEFFS_TEXT_DIGESTS[kind]
+
+
 #: (exit code, stdout digest) of ``test gamma 2 3 --sigma METHOD --format
 #: json`` on 400 Gamma(2, 3) draws written one repr per line.
 TEST_DIGESTS = {
@@ -183,3 +204,19 @@ def test_test_json(capsys, tmp_path, method):
     code, out = run_cli(capsys, "test", "gamma", "2", "3", "--input", path,
                         "--sigma", method, "--format", "json")
     assert (code, sha256(out.encode())) == TEST_DIGESTS[method]
+
+
+def test_test_json_csv_input(capsys, tmp_path):
+    """A CSV copy of the golden sample, read by ``--column``, prints the same
+    bytes as the plain file."""
+    plain = write_gamma_sample(tmp_path)
+    lines = Path(plain).read_text(encoding="utf-8").splitlines()
+    table = tmp_path / "sample.csv"
+    table.write_text("index,value\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate(lines)), encoding="utf-8")
+    argv = ("test", "gamma", "2", "3", "--format", "json")
+    from_plain = run_cli(capsys, *argv, "--input", plain)
+    from_csv = run_cli(capsys, *argv, "--input", str(table),
+                       "--column", "value")
+    assert from_csv == from_plain
+    assert sha256(from_csv[1].encode()) == TEST_DIGESTS["exact-moments"][1]

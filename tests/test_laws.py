@@ -2,6 +2,7 @@
 laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ class TestTheoreticalMoments:
             assert m.m2 >= m.m1 ** 2
             assert m.m4 >= m.m2 ** 2
             assert m.variance == pytest.approx(m.m2 - m.m1 ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("law,what", [
+        (LawSpec.gamma(2.0, 1e-200), "second moment"),
+        (LawSpec.gamma(2.0, 1e200), "second moment"),
+        (LawSpec.uniform(1e100, 2e100), "fourth moment"),
+        (LawSpec.fisher(1e-300, 12.0), "second moment"),
+        (LawSpec.beta(1e-200, 1e-200), "variance")], ids=str)
+    def test_out_of_float_range(self, law, what):
+        """A power that overflows or a divisor that underflows to zero is
+        a typed error naming the law and the moment."""
+        with pytest.raises(DomainError,
+                           match=f"the {what} of {re.escape(str(law))} "):
+            theoretical_moments(law)
 
 
 class TestSampling:

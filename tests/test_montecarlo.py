@@ -9,7 +9,8 @@ import threading
 import numpy as np
 import pytest
 
-from momest import (CoefficientMode, DegenerateSampleError, DomainError,
+from momest import (CoefficientMode, Covariance2, DegenerateSampleError,
+                    DomainError,
                     InsufficientDataError, LawKind, LawSpec, SigmaMethod,
                     SimulationConfig, SingularCovarianceError,
                     covariance_exact_moments, empirical_moments, error_table,
@@ -349,6 +350,20 @@ class TestRatesAreTheCliTests:
         with pytest.raises(SingularCovarianceError):
             omnibus_test(report.a_hat[0], report.b_hat[0], 2.0, 3.0, 50,
                          report.sigma_replication)
+
+    def test_infinite_variance_gives_nan_rate(self):
+        cfg = SimulationConfig(law=GAMMA23, n=50, replications=20,
+                               master_seed=4,
+                               sigma_methods=(SigmaMethod.EXACT_MOMENTS,))
+        report = run_simulation(cfg)
+        finite = dict(report.marginal_rates)
+        sig = Covariance2(s11=math.inf, s22=report.sigma_exact.s22, s12=0.0,
+                          det=math.inf, method=SigmaMethod.EXACT_MOMENTS)
+        montecarlo._attach_rates(report, {SigmaMethod.EXACT_MOMENTS: sig})
+        assert math.isnan(report.marginal_rates["a:exact-moments"])
+        assert report.marginal_rates["b:exact-moments"] \
+            == finite["b:exact-moments"]
+        assert report.omnibus_rates == {"exact-moments": None}
 
 
 class TestCalibrationChain:

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from momest import DomainError, Stream, substream_seed
-from momest.rng import mix64
 
 MASK = (1 << 64) - 1
 
 
+def reference_mix(z):
+    """Pure-python splitmix64 finalizer, written apart from momest.rng."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
 def reference_outputs(seed, count):
-    """Pure-python splitmix64, written independently of momest.rng."""
-    out = []
-    for k in range(1, count + 1):
-        z = (seed + k * 0x9E3779B97F4A7C15) & MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
-    return out
+    """Pure-python splitmix64 stream."""
+    return [reference_mix((seed + k * 0x9E3779B97F4A7C15) & MASK)
+            for k in range(1, count + 1)]
 
 
 class TestRawStream:
@@ -37,10 +38,6 @@ class TestRawStream:
         first = list(s.raw(5)) + list(s.raw(5))
         assert first == [int(v) for v in Stream(7).raw(10)]
         assert s.consumed == 10
-
-    def test_mix64_scalar_matches_vector(self):
-        s = Stream(13)
-        assert mix64((13 + 0x9E3779B97F4A7C15) & MASK) == int(s.raw(1)[0])
 
 
 class TestOwnResults:
@@ -108,6 +105,12 @@ class TestSubstreams:
     def test_index_validation(self):
         with pytest.raises(DomainError):
             substream_seed(1, 0)
+
+    @pytest.mark.parametrize("master", [0, 7, MASK])
+    def test_matches_reference(self, master):
+        got = [substream_seed(master, j) for j in range(1, 2001)]
+        assert got == [reference_mix((master + j * 0xD1B54A32D192ED03) & MASK)
+                       for j in range(1, 2001)]
 
     def test_distinct_and_deterministic(self):
         seeds = [substream_seed(2024, j) for j in range(1, 2001)]

@@ -54,6 +54,13 @@ class TestMarginal:
         with pytest.raises(DomainError):
             marginal_test(1.0, 0.0, var_entry=0.0, n=10)
 
+    @pytest.mark.parametrize("var_entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_variance_refused(self, var_entry):
+        """An infinite variance gives z = 0, a silent accept, unless
+        refused."""
+        with pytest.raises(DomainError, match="positive finite variance"):
+            marginal_test(2.5, 2.0, var_entry, 100)
+
     def test_calibration_under_null(self):
         # seeded replications from the true law, exact variance entry 12
         law = LawSpec.gamma(2.0, 3.0)
