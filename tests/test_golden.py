@@ -1,5 +1,6 @@
 """Frozen SHA-256 digests of sampler output, two simulate bundles, the
-JSON and text stdout of ``coeffs`` and the JSON stdout of ``test``.
+JSON and text stdout of ``coeffs`` and the JSON stdout of ``test``, and the
+exact bits of the exact-quadrature Σ.
 
 The values were frozen before the Σ routes, influence values and
 serialisers were merged into one definition each, and they must not move
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from momest import (CoefficientMode, LawSpec, SigmaMethod, SimulationConfig,
+                    covariance_exact_quadrature, influence_pair,
                     run_simulation, sample, write_report)
 from momest.cli import EXIT_OK, main
 
@@ -220,3 +222,68 @@ def test_test_json_csv_input(capsys, tmp_path):
                        "--column", "value")
     assert from_csv == from_plain
     assert sha256(from_csv[1].encode()) == TEST_DIGESTS["exact-moments"][1]
+
+
+#: ``float.hex`` of (s11, s22, s12) from ``covariance_exact_quadrature`` at
+#: the default settings: the four acceptance laws, the shape-below-1 edges
+#: Gamma(0.5, 2) and Beta(0.5, 2), and Fisher(5, 10), whose quadrature runs
+#: the upper-tail extension furthest.
+QUADRATURE_SIGMA_BITS = {
+    ("gamma(2, 3)", "canonical"):
+        ("0x1.8000003063540p+3", "0x1.f800002cf2b3ep+4",
+         "0x1.20000020ae240p+4"),
+    ("gamma(2, 3)", "verbatim"):
+        ("0x1.f0000076dad40p+5", "0x1.f800008333fa0p+4",
+         "0x1.0800004cffc08p+5"),
+    ("beta(2, 3)", "canonical"):
+        ("0x1.f6db681df0d50p+2", "0x1.2924910e609f4p+4",
+         "0x1.3ffffe0e4b5d0p+3"),
+    ("beta(2, 3)", "verbatim"):
+        ("0x1.f6db681df0d50p+2", "0x1.2924910e609f4p+4",
+         "0x1.3ffffe0e4b5d0p+3"),
+    ("uniform(0, 1)", "canonical"):
+        ("0x1.111111bf3c8e0p-3", "0x1.11111111a8d27p-3",
+         "0x1.11110ff97247ap-5"),
+    ("uniform(0, 1)", "verbatim"):
+        ("0x1.111111bf3c8e0p-3", "0x1.11111111a8d27p-3",
+         "0x1.11110ff97247ap-5"),
+    ("fisher(5, 12)", "canonical"):
+        ("0x1.14db0047d9df6p+10", "0x1.51800003232c9p+11",
+         "-0x1.481fffa52b974p+9"),
+    ("fisher(5, 12)", "verbatim"):
+        ("0x1.53903ee818c92p+7", "0x1.51800003232c9p+11",
+         "0x1.f55555813d132p+8"),
+    ("gamma(0.5, 2)", "canonical"):
+        ("0x1.800000259bbfep+0", "0x1.0000000760ee8p+5",
+         "0x1.80000012c6090p+2"),
+    ("gamma(0.5, 2)", "verbatim"):
+        ("0x1.c80000065c8f9p+6", "0x1.c0000046308f6p+5",
+         "0x1.0800001a1aa80p+6"),
+    ("beta(0.5, 2)", "canonical"):
+        ("0x1.562a1c1997f40p-1", "0x1.a25addf2f1507p+3",
+         "0x1.09f95889d66d2p+1"),
+    ("beta(0.5, 2)", "verbatim"):
+        ("0x1.562a1c1997f40p-1", "0x1.a25addf2f1507p+3",
+         "0x1.09f95889d66d2p+1"),
+    ("fisher(5, 10)", "canonical"):
+        ("0x1.478ed0f396e23p+11", "0x1.5aaaaab09f58bp+10",
+         "-0x1.9471c68df9f94p+8"),
+    ("fisher(5, 10)", "verbatim"):
+        ("0x1.1a4ab050242a0p+9", "0x1.5aaaaab09f58bp+10",
+         "0x1.209999b325375p+9"),
+}
+
+QUADRATURE_LAWS = {str(law): law for law in (
+    LawSpec.gamma(2.0, 3.0), LawSpec.beta(2.0, 3.0), LawSpec.uniform(0.0, 1.0),
+    LawSpec.fisher(5.0, 12.0), LawSpec.gamma(0.5, 2.0), LawSpec.beta(0.5, 2.0),
+    LawSpec.fisher(5.0, 10.0))}
+
+
+@pytest.mark.parametrize("law,mode", list(QUADRATURE_SIGMA_BITS),
+                         ids=lambda v: v)
+def test_exact_quadrature_sigma_bits(law, mode):
+    spec = QUADRATURE_LAWS[law]
+    h, l = influence_pair(spec, CoefficientMode(mode))
+    sig = covariance_exact_quadrature(spec, h, l)
+    assert (sig.s11.hex(), sig.s22.hex(), sig.s12.hex()) == \
+        QUADRATURE_SIGMA_BITS[(law, mode)]
