@@ -29,7 +29,9 @@ The four covariance routes:
   m1..m4 (the independent oracle for everything else),
 * exact-quadrature: trapezoid integration of the influence functions against
   the density over the truncated support [Q(eps), Q(1-eps)], eps = 1e-9,
-  with geometric upper-tail extension for unbounded supports,
+  with geometric upper-tail extension for unbounded supports; the five
+  integrals E[H], E[L], E[H^2], E[L^2] and E[HL] share every node array and
+  its density values, and each stops at its own tolerance,
 * plugin: sample variance/covariance of the influence values on one sample
   (:func:`plugin_rows` computes it for every row of a sample block),
 * replication: sample covariance of replicated sqrt(n) deviations.
@@ -38,16 +40,18 @@ The four covariance routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, MomestError
+from .errors import (DomainError, InsufficientDataError, MomestError,
+                     QuadratureError)
 from .estimation import HALF_WIDTH_FACTOR
 from .laws import LawKind, LawSpec, pdf, quantile, theoretical_moments
-from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, trapezoid_integrate
+from .rng import Workspace
+from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig
 
 __all__ = [
     "CoefficientMode",
@@ -66,6 +70,9 @@ __all__ = [
 
 #: Quantile-level truncation of unbounded/singular supports in quadrature.
 TRUNCATION_EPS = 1e-9
+
+#: Most geometric blocks [x, 2x] appended past Q(1 - eps) in quadrature.
+TAIL_BLOCKS = 60
 
 
 class CoefficientMode(str, Enum):
@@ -116,8 +123,18 @@ class QuadraticInfluence:
     def raw(self, x):
         """Uncentered c1 * x + c2 * x^2."""
         xs = np.asarray(x, dtype=float)
-        out = self.c1 * xs + self.c2 * xs * xs
+        out = self._raw_into(xs, np.empty_like(xs), np.empty_like(xs))
         return float(out) if out.ndim == 0 else out
+
+    def _raw_into(self, xs: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+        """c1 * xs + c2 * xs * xs written into ``out``, with ``scratch``
+        holding the quadratic term."""
+        np.multiply(xs, self.c1, out=out)
+        np.multiply(xs, self.c2, out=scratch)
+        scratch *= xs
+        out += scratch
+        return out
 
 
 @dataclass(frozen=True)
@@ -296,41 +313,100 @@ def covariance_exact_moments(
                              SigmaMethod.EXACT_MOMENTS)
 
 
-def _fixed_trapezoid(g: Callable, lo: float, hi: float, panels: int) -> float:
-    xs = np.linspace(lo, hi, panels + 1)
-    ys = np.asarray(g(xs), dtype=float)
-    h = (hi - lo) / panels
-    return float(h * (0.5 * ys[0] + ys[1:-1].sum() + 0.5 * ys[-1]))
+def _expectations(law: LawSpec, weights: Callable,
+                  cfg: QuadratureConfig) -> np.ndarray:
+    """E[w_k(X)] for every row w_k of ``weights``, by trapezoid of
+    w_k(x) pdf(x) over [Q(eps), Q(1-eps)].
 
-
-def _expectation(law: LawSpec, w: Callable, cfg: QuadratureConfig) -> float:
-    """E[w(X)] by trapezoid of w(x) pdf(x) over [Q(eps), Q(1-eps)].
-
-    ``cfg.tol`` is applied relative to the integral's magnitude.  For laws
-    with unbounded upper support the window is extended by geometric blocks
-    [x, 2x] until two consecutive blocks fall below the tolerance, so that
-    slowly decaying tails (Fisher) are captured.
+    ``weights`` maps a node array to a new array with one row of weights
+    per integrand, so that all integrands share each node array and its
+    density values.  Each row is integrated as :func:`trapezoid_integrate`
+    would integrate it alone, with ``cfg.tol`` scaled by
+    max(1, |first estimate|) of that row.  For laws with unbounded upper
+    support the window is extended by shared geometric blocks [x, 2x]
+    until two consecutive blocks of a row fall below its tolerance, so that
+    slowly decaying tails (Fisher) are captured; a row still open after
+    ``TAIL_BLOCKS`` blocks raises :class:`QuadratureError`.
     """
     lo = quantile(law, TRUNCATION_EPS)
     hi = quantile(law, 1.0 - TRUNCATION_EPS)
 
-    def g(x):
-        return w(x) * pdf(law, x)
+    def integrand(x):
+        w = weights(x)
+        w *= pdf(law, x)
+        return w
 
-    scale = max(1.0, abs(_fixed_trapezoid(g, lo, hi, cfg.panels)))
-    cfg_abs = replace(cfg, tol=cfg.tol * scale)
-    total = trapezoid_integrate(g, lo, hi, cfg_abs)
+    total, tol = _trapezoid_rows(integrand, lo, hi, None, cfg)
     if law.kind in (LawKind.GAMMA, LawKind.FISHER):
+        quiet = np.zeros(total.size, dtype=int)
         x0 = hi
-        quiet = 0
-        for _ in range(60):
-            if quiet >= 2:
+        for _ in range(TAIL_BLOCKS):
+            rows = np.flatnonzero(quiet < 2)
+            if not rows.size:
                 break
-            block = trapezoid_integrate(g, x0, 2.0 * x0, cfg_abs)
-            total += block
-            quiet = quiet + 1 if abs(block) < cfg_abs.tol else 0
+            block, _ = _trapezoid_rows(lambda x: integrand(x)[rows], x0,
+                                       2.0 * x0, tol[rows], cfg)
+            total[rows] += block
+            quiet[rows] = np.where(np.abs(block) < tol[rows],
+                                   quiet[rows] + 1, 0)
             x0 *= 2.0
+        if np.any(quiet < 2):
+            raise QuadratureError(
+                f"exact-quadrature sigma of {law}: the upper tail has not "
+                f"settled after {TAIL_BLOCKS} blocks [x, 2x] up to "
+                f"x = {x0:g}; use exact-moments", abscissa=x0)
     return total
+
+
+def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
+                    cfg: QuadratureConfig) -> tuple:
+    """Panel-doubling trapezoid sums on [lo, hi] of every row of the
+    vectorised integrand ``f``, which maps a node array to one row per
+    integrand.
+
+    Row k follows :func:`trapezoid_integrate` bit for bit with tolerance
+    ``tol[k]``, or ``cfg.tol * max(1, |first estimate|)`` when ``tol`` is
+    None, and stops at its own level.  Returns the sums and tolerances.
+    """
+    n = cfg.panels
+    xs = np.linspace(lo, hi, n + 1)
+    ys = f(xs)
+    h = (hi - lo) / n
+    total = _finite(
+        h * (0.5 * ys[:, 0] + ys[:, 1:-1].sum(axis=1) + 0.5 * ys[:, -1]),
+        xs, ys)
+    if tol is None:
+        tol = cfg.tol * np.maximum(1.0, np.abs(total))
+    active = np.arange(total.size)
+    for _ in range(cfg.max_doublings):
+        mids = lo + h * (np.arange(n) + 0.5)
+        ym = f(mids)
+        if active.size < total.size:
+            ym = ym[active]
+        sums = _finite(ym.sum(axis=1), mids, ym)
+        refined = 0.5 * (total[active] + h * sums)
+        diff = np.abs(refined - total[active])
+        total[active] = refined
+        n *= 2
+        h *= 0.5
+        active = active[~(diff < tol[active])]
+        if not active.size:
+            break
+    return total, tol
+
+
+def _finite(reduced: np.ndarray, xs: np.ndarray, ys: np.ndarray
+            ) -> np.ndarray:
+    """``reduced``, row sums of the integrand values ``ys`` at nodes ``xs``,
+    once no value is found non-finite.  A non-finite value makes its row
+    sum non-finite, so the values are searched only when a sum is."""
+    if not np.isfinite(reduced).all():
+        bad = ~np.isfinite(ys)
+        if bad.any():
+            x_bad = float(xs[np.argwhere(bad)[0, -1]])
+            raise QuadratureError(
+                f"integrand is not finite at x={x_bad!r}", abscissa=x_bad)
+    return reduced
 
 
 def covariance_exact_quadrature(
@@ -354,11 +430,15 @@ def covariance_exact_quadrature(
         mom.require(3)
     else:
         mom.require(2)
-    eh = _expectation(law, h.raw, cfg)
-    el = _expectation(law, l.raw, cfg)
-    eh2 = _expectation(law, lambda x: h.raw(x) ** 2, cfg)
-    el2 = _expectation(law, lambda x: l.raw(x) ** 2, cfg)
-    ehl = _expectation(law, lambda x: h.raw(x) * l.raw(x), cfg)
+
+    def weights(x):
+        w = np.empty((5, x.size))
+        w[0], w[1] = h.raw(x), l.raw(x)
+        np.square(w[:2], out=w[2:4])
+        np.multiply(w[0], w[1], out=w[4])
+        return w
+
+    eh, el, eh2, el2, ehl = _expectations(law, weights, cfg).tolist()
     return Covariance2.build(eh2 - eh * eh, el2 - el * el, ehl - eh * el,
                              SigmaMethod.EXACT_QUADRATURE)
 
@@ -376,19 +456,24 @@ def covariance_plugin(sample, h: QuadraticInfluence,
                              SigmaMethod.PLUGIN)
 
 
-def plugin_rows(x, h: QuadraticInfluence, l: QuadraticInfluence) -> tuple:
+def plugin_rows(x, h: QuadraticInfluence, l: QuadraticInfluence,
+                workspace: Optional[Workspace] = None) -> tuple:
     """Plugin (s11, s22, s12) arrays, one entry per row of the 2-D sample
     block ``x``, checked and clamped as :meth:`Covariance2.build` does.
 
     Bit for bit ``np.cov`` of each row's influence values: the centred
     stack of H and L values is multiplied by its transpose, which runs the
-    same BLAS product as ``np.cov``, and scaled by 1/(n-1).
+    same BLAS product as ``np.cov``, and scaled by 1/(n-1).  The stack and
+    its scratch rows come from ``workspace`` (a new one if none is given).
     """
     x = np.asarray(x, dtype=float)
     rows, n = x.shape
-    stack = np.empty((rows, 2, n))
-    stack[:, 0] = h.evaluate(x)
-    stack[:, 1] = l.evaluate(x)
+    ws = Workspace() if workspace is None else workspace
+    stack = ws.take("plugin_stack", (rows, 2, n))
+    scratch = ws.take("plugin_scratch", (rows, n))
+    for k, infl in enumerate((h, l)):
+        infl._raw_into(x, stack[:, k], scratch)
+        stack[:, k] -= infl.center
     stack -= np.add.reduce(stack, axis=2, keepdims=True) / n
     c = np.matmul(stack, stack.transpose(0, 2, 1))
     c *= 1.0 / (n - 1)

@@ -141,8 +141,8 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
         elif a < 1.0:
             out[xs == 0.0] = np.inf
     elif law.kind is LawKind.BETA:
-        ln_b = (special.ln_gamma(a) + special.ln_gamma(b)
-                - special.ln_gamma(a + b))
+        lg_a, lg_b, lg_ab = special.ln_gamma(np.array([a, b, a + b]))
+        ln_b = lg_a + lg_b - lg_ab
         inside = (xs > 0.0) & (xs < 1.0)
         xp = xs[inside]
         out[inside] = np.exp((a - 1.0) * np.log(xp)
@@ -154,9 +154,9 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
                            else (math.exp(-ln_b) if shape == 1.0 else 0.0))
     else:  # Fisher
         half_a, half_b = 0.5 * a, 0.5 * b
-        ln_c = (half_a * math.log(a / b)
-                - (special.ln_gamma(half_a) + special.ln_gamma(half_b)
-                   - special.ln_gamma(half_a + half_b)))
+        lg_a, lg_b, lg_ab = special.ln_gamma(
+            np.array([half_a, half_b, half_a + half_b]))
+        ln_c = half_a * math.log(a / b) - (lg_a + lg_b - lg_ab)
         pos = xs > 0.0
         xp = xs[pos]
         out[pos] = np.exp(ln_c + (half_a - 1.0) * np.log(xp)

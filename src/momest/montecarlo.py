@@ -56,6 +56,9 @@ __all__ = [
 #: less per-call overhead per replication but spill the caches.
 ROW_BLOCK_VALUES = 16384
 
+#: Kernel values per chunk of :func:`parzen_density`.
+PARZEN_CHUNK_VALUES = 8192
+
 DEFAULT_SIGMA_METHODS = (
     SigmaMethod.EXACT_MOMENTS,
     SigmaMethod.PLUGIN,
@@ -199,7 +202,7 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
         seeds = _substream_seeds(master_seed, lo, min(lo + rows, j_hi))
         x = sample_rows(law, n, seeds, workspace)
         a_hat, b_hat, feasible = estimate_rows(law.kind, x)
-        s11, s22, s12 = plugin_rows(x[feasible], h, l)
+        s11, s22, s12 = plugin_rows(x[feasible], h, l, workspace)
         parts.append((a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
                       feasible.size - np.count_nonzero(feasible)))
     a_hat, b_hat, sd_h, sd_l, cov_hl = (
@@ -344,7 +347,20 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
     elif not bandwidth > 0.0:
         raise DomainError(f"bandwidth must be > 0, got {bandwidth}")
     xs = np.linspace(grid_lo, grid_hi, grid_points)
-    z = (xs[:, None] - v[None, :]) / bandwidth
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (
-        v.size * bandwidth * np.sqrt(2.0 * np.pi))
+    # kernel rows in chunks of about PARZEN_CHUNK_VALUES values, each row
+    # summed as a whole
+    step = max(1, PARZEN_CHUNK_VALUES // v.size)
+    z = np.empty((min(step, grid_points), v.size))
+    kernel = np.empty_like(z)
+    sums = np.empty(grid_points)
+    for lo in range(0, grid_points, step):
+        hi = min(lo + step, grid_points)
+        zc, kc = z[:hi - lo], kernel[:hi - lo]
+        np.subtract(xs[lo:hi, None], v, out=zc)
+        zc /= bandwidth
+        np.multiply(zc, -0.5, out=kc)
+        kc *= zc
+        np.exp(kc, out=kc)
+        kc.sum(axis=1, out=sums[lo:hi])
+    dens = sums / (v.size * bandwidth * np.sqrt(2.0 * np.pi))
     return np.column_stack([xs, dens])

@@ -38,12 +38,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """``rows`` is a 2-D float array, or lists of str and float cells."""
+    if isinstance(rows, np.ndarray):
+        body = [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        body = [",".join(cell if isinstance(cell, str) else _fmt(cell)
+                         for cell in row) for row in rows]
+    path.write_text("\n".join([",".join(header), *body]) + "\n",
+                    encoding="utf-8")
 
 
 def _sigma_dict(sigma: Optional[Covariance2]) -> Optional[dict]:
@@ -126,12 +129,10 @@ def write_report(report: SimulationReport, outdir) -> list[Path]:
     for param, dev in (("a", report.dev_a), ("b", report.dev_b)):
         sd = float(np.std(dev, ddof=1))
         std = dev / sd if sd > 0.0 else dev
-        qq = qq_plot_data(std)
         emit_csv(f"qq_{param}.csv", ["theoretical", "empirical"],
-                 [[row[0], row[1]] for row in qq])
-        curve = parzen_density(std, -4.0, 4.0, 201)
+                 qq_plot_data(std))
         emit_csv(f"parzen_{param}.csv", ["x", "density"],
-                 [[row[0], row[1]] for row in curve])
+                 parzen_density(std, -4.0, 4.0, 201))
 
     path = out / "report.json"
     path.write_text(render_json(report_to_dict(report)), encoding="utf-8")

@@ -155,7 +155,11 @@ class RowStreams:
     """
 
     def __init__(self, seeds, workspace: Optional[Workspace] = None):
-        self._seeds = np.array([int(s) & _MASK for s in seeds], dtype=_U64)
+        if isinstance(seeds, np.ndarray) and seeds.dtype == _U64:
+            self._seeds = seeds.copy()
+        else:
+            self._seeds = np.array([int(s) & _MASK for s in seeds],
+                                   dtype=_U64)
         self._counters = np.zeros(self._seeds.size, dtype=_U64)
         self._ws = Workspace() if workspace is None else workspace
 

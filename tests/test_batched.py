@@ -88,6 +88,28 @@ class TestRowSampler:
             [s.consumed for s in singles]
 
 
+    def test_seed_array_equals_python_ints(self):
+        """A uint64 seed array is taken as it is; other seeds are reduced
+        mod 2^64.  Both give the same rows, seeds of 2^63 and above
+        included."""
+        array = np.array([2 ** 63, 2 ** 64 - 1, 7, 2 ** 63 + 12345],
+                         dtype=np.uint64)
+        ints = [int(s) for s in array]
+        wrapped = [s + 2 ** 64 for s in ints]
+        rows = [RowStreams(s).gammas(2.5, 30) for s in (array, ints, wrapped)]
+        assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+        for r, seed in enumerate(ints):
+            want = Stream(seed).gammas(2.5, 30)
+            assert rows[0][r].tobytes() == want.tobytes()
+
+    def test_seed_array_is_copied(self):
+        array = np.array([1, 2], dtype=np.uint64)
+        streams = RowStreams(array)
+        array[:] = 0
+        assert streams.uniforms(4).tobytes() == \
+            RowStreams([1, 2]).uniforms(4).tobytes()
+
+
 def stream_reference(law, n, seed):
     """``sample`` rebuilt from public :class:`Stream` draws, each of which
     returns an array of its own."""
@@ -134,26 +156,33 @@ class TestWorkspace:
     @pytest.mark.parametrize("n,b_total", [(5000, 10), (200, 250), (20, 2500)])
     def test_blocks_reuse_the_first_blocks_buffers(self, law, n, b_total,
                                                    monkeypatch):
-        """Every block of one ``_simulate_block`` call draws into the same
-        workspace, and after the first block no buffer is replaced, the
-        short last block included."""
+        """Every block of one ``_simulate_block`` call draws and reduces
+        into the same workspace.  After the first block no sampler buffer
+        is replaced, the short last block included; the plugin buffers,
+        sized by the feasible rows, only when a block has more feasible
+        rows than every block before it."""
         seen = []
 
-        def spy(law, n, row_seeds, workspace):
-            x = sample_rows(law, n, row_seeds, workspace)
-            seen.append((workspace, dict(workspace._arrays)))
-            return x
+        def spy(x, h, l, workspace):
+            out = plugin_rows(x, h, l, workspace)
+            seen.append((workspace, x.shape[0], dict(workspace._arrays)))
+            return out
 
-        monkeypatch.setattr(montecarlo, "sample_rows", spy)
+        monkeypatch.setattr(montecarlo, "plugin_rows", spy)
         h, l = influence_pair(law)
         _simulate_block(law, n, MASTER, 1, b_total + 1, h, l)
         rows = montecarlo.ROW_BLOCK_VALUES // n
         assert len(seen) == -(-b_total // rows) >= 3
-        workspace, first = seen[0]
-        for ws, arrays in seen[1:]:
+        workspace, most, before = seen[0]
+        for ws, feasible, arrays in seen[1:]:
             assert ws is workspace
-            assert arrays.keys() == first.keys()
-            assert all(arrays[name] is first[name] for name in first)
+            assert arrays.keys() == before.keys()
+            replaced = {name for name in arrays
+                        if arrays[name] is not before[name]}
+            grown = feasible > most
+            assert replaced <= ({"plugin_stack", "plugin_scratch"}
+                                if grown else set())
+            most, before = max(most, feasible), arrays
 
     def test_each_thread_has_its_own_workspace(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
@@ -223,6 +252,21 @@ class TestRowPlugin:
             assert (float(s11[r]), float(s22[r]), float(s12[r])) == \
                 (want.s11, want.s22, want.s12)
             assert covariance_plugin(row, h, l) == want
+
+
+    @pytest.mark.parametrize("law", LAWS[:4], ids=str)
+    def test_reused_workspace_equal_bits(self, law):
+        """Row counts shrink and grow over one workspace, as the feasible
+        rows of successive blocks do."""
+        h, l = influence_pair(law)
+        workspace = Workspace()
+        row_seeds = iter(seeds(40 + 7 + 1 + 60))
+        for rows in (40, 7, 1, 60):
+            x = sample_rows(law, 200, [next(row_seeds) for _ in range(rows)])
+            got = plugin_rows(x, h, l, workspace)
+            want = plugin_rows(x, h, l)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestBlocks:

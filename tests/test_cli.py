@@ -325,6 +325,18 @@ class TestTestCommand:
                              path, "--sigma", "exact-moments")
         assert code in (EXIT_OK, EXIT_REJECT)
 
+    def test_exact_quadrature_refuses_heavy_fisher_tail(self, capsys,
+                                                        tmp_path):
+        path = write_sample(tmp_path, sample(LawSpec.fisher(5.0, 8.1), 200,
+                                             3))
+        code, out, err = run_cli(capsys, "test", "fisher", "5", "8.1",
+                                 "--input", path, "--sigma",
+                                 "exact-quadrature")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "fisher(5, 8.1)" in err and "use exact-moments" in err
+
     def test_replication_sigma_rejected_for_single_sample(self, capsys,
                                                           tmp_path):
         path = write_sample(tmp_path, [1.0, 2.0, 3.0])
@@ -398,6 +410,18 @@ class TestSimulate:
             "--sigma-methods", "exact-quadrature")
         assert code == EXIT_INPUT
         assert "exact-quadrature" in err and "use exact-moments" in err
+        assert not out.exists()
+
+    def test_exact_quadrature_refuses_heavy_fisher_tail(self, capsys,
+                                                        tmp_path):
+        out = tmp_path / "q"
+        code, _, err = run_cli(
+            capsys, "simulate", "fisher", "5", "8.1", "--n", "50",
+            "--replications", "30", "--seed", "2", "--out", str(out),
+            "--sigma-methods", "exact-quadrature")
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "upper tail has not settled" in err
         assert not out.exists()
 
     def test_fisher_low_b_needs_nonexact_methods(self, capsys, tmp_path):

@@ -279,6 +279,43 @@ class TestParzen:
         with pytest.raises(DomainError):
             parzen_density([0.0, 1.0], 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("size", [2, 37, 400, 2000, 8193])
+    def test_chunks_equal_one_shot_kernel_matrix(self, size):
+        """One chunk (B = 2, 37), many chunks (400, 2000) and one row per
+        chunk (8193) give the bits of the whole 201 x B kernel matrix."""
+        from momest import Stream
+        values = Stream(size).normals(size)
+        bw = montecarlo.silverman_bandwidth(values)
+        xs = np.linspace(-4.0, 4.0, 201)
+        z = (xs[:, None] - values[None, :]) / bw
+        want = np.exp(-0.5 * z * z).sum(axis=1) / (
+            values.size * bw * np.sqrt(2.0 * np.pi))
+        curve = parzen_density(values, -4.0, 4.0, 201)
+        assert curve[:, 0].tobytes() == xs.tobytes()
+        assert curve[:, 1].tobytes() == want.tobytes()
+
+
+class TestCsvTables:
+    def test_array_rows_equal_per_cell_format(self, tmp_path):
+        """A float array is written with the bytes of the per-cell ``repr``
+        of each numpy scalar, signed zero, subnormals, large and small
+        magnitudes and nan included."""
+        from momest.reportio import _write_csv
+        cells = np.array([-0.0, 5e-324, 1e16, 1e-5, 123.0, float("nan"),
+                          -2.5, 0.1 + 0.2])
+        table = np.column_stack([cells, cells[::-1]])
+        _write_csv(tmp_path / "t.csv", ["x", "y"], table)
+        want = "x,y\n" + "".join(
+            ",".join(repr(float(c)) for c in row) + "\n" for row in table)
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    def test_mixed_rows_keep_strings(self, tmp_path):
+        from momest.reportio import _write_csv
+        _write_csv(tmp_path / "t.csv", ["sigma", "rate"],
+                   [["plugin", np.float64(0.05)], ["exact", ""]])
+        assert (tmp_path / "t.csv").read_text() == \
+            "sigma,rate\nplugin,0.05\nexact,\n"
+
 
 def study_sigma(report, method):
     """The Σ a study used for ``method``."""
