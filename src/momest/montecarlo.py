@@ -193,7 +193,8 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
     Replications run in row blocks of ``ROW_BLOCK_VALUES // n`` samples
     (at least one): each block is drawn, estimated and reduced to its plugin
     statistics at once, giving the same bits as one replication at a time.
-    The blocks draw into one workspace, which lives as long as this call.
+    The blocks draw and reduce into one workspace, which lives as long as
+    this call.
     """
     rows = max(1, ROW_BLOCK_VALUES // n)
     workspace = Workspace()
@@ -347,8 +348,8 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
     elif not bandwidth > 0.0:
         raise DomainError(f"bandwidth must be > 0, got {bandwidth}")
     xs = np.linspace(grid_lo, grid_hi, grid_points)
-    # kernel rows in chunks of about PARZEN_CHUNK_VALUES values, each row
-    # summed as a whole
+    # kernel rows in chunks of about PARZEN_CHUNK_VALUES values; each row is
+    # summed whole, so the sums keep the bits of the full kernel matrix
     step = max(1, PARZEN_CHUNK_VALUES // v.size)
     z = np.empty((min(step, grid_points), v.size))
     kernel = np.empty_like(z)

@@ -115,7 +115,8 @@ def substream_seed(master_seed: int, index: int) -> int:
 
 
 class Workspace:
-    """Scratch arrays of one caller, reused by every draw it makes.
+    """Scratch arrays of one caller, reused by every draw it makes and by
+    the plugin statistics of its row blocks.
 
     :meth:`take` hands out a view of a named buffer, which is allocated on
     first use and replaced only when a larger size is asked for, so a study

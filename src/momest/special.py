@@ -51,7 +51,7 @@ def _finish(arr: np.ndarray, scalar: bool) -> ArrayLike:
 def ln_gamma(x: ArrayLike) -> ArrayLike:
     """Natural log of the Gamma function, for x > 0."""
     xs, scalar = _prepare(x)
-    if (xs <= 0.0).any():
+    if np.any(xs <= 0.0):
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     return _finish(_sp.gammaln(xs), scalar)
 

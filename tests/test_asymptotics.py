@@ -220,8 +220,8 @@ class TestExactQuadrature:
 
     @pytest.mark.parametrize("b", [8.01, 8.1, 8.5])
     def test_heavy_fisher_tail_refused(self, b):
-        """Below b = 9 the fourth-moment integrand of Fisher(5, b) decays
-        too slowly for the tail blocks: the result was once returned
+        """Up to about b = 8.8 the fourth-moment integrand of Fisher(5, b)
+        decays too slowly for the tail blocks: the result was once returned
         truncated (s11 off by -80% at b = 8.01, -11% at 8.1), now it is
         refused, and exact-moments still answers."""
         law = LawSpec.fisher(5.0, b)

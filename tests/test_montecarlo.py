@@ -309,13 +309,6 @@ class TestCsvTables:
             ",".join(repr(float(c)) for c in row) + "\n" for row in table)
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
-    def test_mixed_rows_keep_strings(self, tmp_path):
-        from momest.reportio import _write_csv
-        _write_csv(tmp_path / "t.csv", ["sigma", "rate"],
-                   [["plugin", np.float64(0.05)], ["exact", ""]])
-        assert (tmp_path / "t.csv").read_text() == \
-            "sigma,rate\nplugin,0.05\nexact,\n"
-
 
 def study_sigma(report, method):
     """The Σ a study used for ``method``."""
