@@ -1,6 +1,6 @@
 """Frozen SHA-256 digests of sampler output, two simulate bundles, the
 JSON and text stdout of ``coeffs`` and the JSON stdout of ``test``, and the
-exact bits of the exact-quadrature Σ.
+exact bits of the exact-quadrature Σ and of ``trapezoid_integrate``.
 
 The values were frozen before the Σ routes, influence values and
 serialisers were merged into one definition each, and they must not move
@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from momest import (CoefficientMode, LawSpec, SigmaMethod, SimulationConfig,
-                    covariance_exact_quadrature, influence_pair,
-                    run_simulation, sample, write_report)
+from momest import (DEFAULT_QUAD_CONFIG, CoefficientMode, LawSpec,
+                    QuadratureConfig, SigmaMethod, SimulationConfig,
+                    covariance_exact_quadrature, influence_pair, pdf,
+                    quantile, run_simulation, sample, trapezoid_integrate,
+                    write_report)
 from momest.cli import EXIT_OK, main
 
 
@@ -287,3 +289,83 @@ def test_exact_quadrature_sigma_bits(law, mode):
     sig = covariance_exact_quadrature(spec, h, l)
     assert (sig.s11.hex(), sig.s22.hex(), sig.s12.hex()) == \
         QUADRATURE_SIGMA_BITS[(law, mode)]
+
+
+TRAPEZOID_CONFIGS = {
+    "default": DEFAULT_QUAD_CONFIG,
+    "fixed-grid": QuadratureConfig(panels=64, tol=1e-300, max_doublings=3),
+    "early-stop": QuadratureConfig(panels=7, tol=1e-4),
+}
+
+#: trapezoid_integrate of x^k pdf(x), k = 0..4, over [Q(1e-9), Q(1 - 1e-9)]
+#: of each acceptance law: the default config, a fixed grid that never
+#: stops early, and a coarse config that stops after few doublings.
+TRAPEZOID_MOMENT_BITS = {
+    ("gamma(2, 3)", "default"):
+        ("0x1.ffffffe50a3a9p-1", "0x1.55555507d5748p-1",
+         "0x1.555553012208cp-1", "0x1.c71c5e4cb4fdfp-1",
+         "0x1.7b420d444fb90p+0"),
+    ("gamma(2, 3)", "fixed-grid"):
+        ("0x1.ffe81ffdbf847p-1", "0x1.5555546d2003bp-1",
+         "0x1.55555326a5b07p-1", "0x1.c71c5e4d1073cp-1",
+         "0x1.7b420d45db6a0p+0"),
+    ("gamma(2, 3)", "early-stop"):
+        ("0x1.fffe0cf2e3aa6p-1", "0x1.55548f6859f70p-1",
+         "0x1.555593226a1e7p-1", "0x1.c71c7b4eb3a62p-1",
+         "0x1.7b41379d33711p+0"),
+    ("beta(2, 3)", "default"):
+        ("0x1.ffffffe1b6c72p-1", "0x1.99999966001c2p-2",
+         "0x1.99999933e1db0p-3", "0x1.d41d4108ce29ap-4",
+         "0x1.2492485967d5ap-4"),
+    ("beta(2, 3)", "fixed-grid"):
+        ("0x1.ffff7ff16f467p-1", "0x1.99999934513bap-2",
+         "0x1.999998d2afbfep-3", "0x1.d41d40466ea40p-4",
+         "0x1.24924797223dep-4"),
+    ("beta(2, 3)", "early-stop"):
+        ("0x1.fffd634065eb6p-1", "0x1.9999004599da9p-2",
+         "0x1.999387bd494b0p-3", "0x1.d41ae6dd5b073p-4",
+         "0x1.248fc38a175e6p-4"),
+    ("uniform(0, 1)", "default"):
+        ("0x1.ffffffeed1f42p-1", "0x1.ffffffeed1f42p-2",
+         "0x1.55555555a1361p-2", "0x1.0000000908d70p-2",
+         "0x1.999999bd25343p-3"),
+    ("uniform(0, 1)", "fixed-grid"):
+        ("0x1.ffffffeed1f42p-1", "0x1.ffffffeed1f42p-2",
+         "0x1.55557feed1efep-2", "0x1.00003feed1edbp-2",
+         "0x1.999a4421e3d44p-3"),
+    ("uniform(0, 1)", "early-stop"):
+        ("0x1.ffffffeed1f43p-1", "0x1.ffffffeed1f44p-2",
+         "0x1.5558d0e998226p-2", "0x1.00053966fb396p-2",
+         "0x1.99a78805b94d6p-3"),
+    ("fisher(5, 12)", "default"):
+        ("0x1.ffffffe4800b1p-1", "0x1.333330dd60614p+0",
+         "0x1.428eb1ab782d8p+1", "0x1.2233e2930153ep+3",
+         "0x1.da89166b4cddap+5"),
+    ("fisher(5, 12)", "fixed-grid"):
+        ("0x1.fc3d88c5d6fdap-1", "0x1.334209c49722cp+0",
+         "0x1.4291038bf65b4p+1", "0x1.2233e01ed553dp+3",
+         "0x1.da8914cad2735p+5"),
+    ("fisher(5, 12)", "early-stop"):
+        ("0x1.fffec8c0bea94p-1", "0x1.33338343a3890p+0",
+         "0x1.428eb38c13d29p+1", "0x1.2233e223173e6p+3",
+         "0x1.da89163a4c58ap+5"),
+}
+
+
+@pytest.mark.parametrize("law,config", list(TRAPEZOID_MOMENT_BITS),
+                         ids=lambda v: v)
+def test_trapezoid_moment_bits(law, config):
+    spec = QUADRATURE_LAWS[law]
+    cfg = TRAPEZOID_CONFIGS[config]
+    lo, hi = quantile(spec, 1e-9), quantile(spec, 1.0 - 1e-9)
+    got = tuple(
+        trapezoid_integrate(lambda x: x ** k * pdf(spec, x), lo, hi,
+                            cfg).hex()
+        for k in range(5))
+    assert got == TRAPEZOID_MOMENT_BITS[(law, config)]
+
+
+def test_trapezoid_quantile_integral_bits():
+    law = LawSpec.gamma(2.0, 3.0)
+    got = trapezoid_integrate(lambda u: quantile(law, u), 1e-9, 1.0 - 1e-9)
+    assert got.hex() == "0x1.555557f66cf3fp-1"

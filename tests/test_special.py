@@ -209,6 +209,16 @@ class TestTrapezoid:
             trapezoid_integrate(f, 0.0, 1.0)
         assert abs(err.value.abscissa - 0.5) < 0.02
 
+    @pytest.mark.parametrize("bad", [0.375, 0.0625, 0.03125])
+    def test_nonfinite_first_seen_at_a_refinement_level(self, bad):
+        # midpoints of doubling levels 1, 2 and 3 of 4 panels on [0, 1]; a
+        # non-constant integrand keeps the tiny tol from stopping early
+        cfg = QuadratureConfig(panels=4, tol=1e-300, max_doublings=3)
+        with pytest.raises(QuadratureError) as err:
+            trapezoid_integrate(lambda x: np.where(x == bad, np.nan, x * x),
+                                0.0, 1.0, cfg)
+        assert err.value.abscissa == bad
+
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             trapezoid_integrate(lambda x: x, 1.0, 0.0)
