@@ -51,7 +51,7 @@ from .errors import (DomainError, InsufficientDataError, MomestError,
 from .estimation import HALF_WIDTH_FACTOR
 from .laws import LawKind, LawSpec, pdf, quantile, theoretical_moments
 from .rng import Workspace
-from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig
+from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, _trapezoid_rows
 
 __all__ = [
     "CoefficientMode",
@@ -320,13 +320,13 @@ def _expectations(law: LawSpec, weights: Callable,
 
     ``weights`` maps a node array to a new array with one row of weights
     per integrand, so that all integrands share each node array and its
-    density values.  Each row is integrated as :func:`trapezoid_integrate`
-    would integrate it alone, with ``cfg.tol`` scaled by
-    max(1, |first estimate|) of that row.  For laws with unbounded upper
-    support the window is extended by shared geometric blocks [x, 2x]
-    until two consecutive blocks of a row fall below its tolerance, so that
-    slowly decaying tails (Fisher) are captured; a row still open after
-    ``TAIL_BLOCKS`` blocks raises :class:`QuadratureError`.
+    density values.  Each row is integrated by :func:`_trapezoid_rows`
+    with ``cfg.tol`` scaled by max(1, |first estimate|) of that row.  For
+    laws with unbounded upper support the window is extended by shared
+    geometric blocks [x, 2x] until two consecutive blocks of a row fall
+    below its tolerance, so that slowly decaying tails (Fisher) are
+    captured; a row still open after ``TAIL_BLOCKS`` blocks raises
+    :class:`QuadratureError`.
     """
     lo = quantile(law, TRUNCATION_EPS)
     hi = quantile(law, 1.0 - TRUNCATION_EPS)
@@ -356,57 +356,6 @@ def _expectations(law: LawSpec, weights: Callable,
                 f"settled after {TAIL_BLOCKS} blocks [x, 2x] up to "
                 f"x = {x0:g}; use exact-moments", abscissa=x0)
     return total
-
-
-def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
-                    cfg: QuadratureConfig) -> tuple:
-    """Panel-doubling trapezoid sums on [lo, hi] of every row of the
-    vectorised integrand ``f``, which maps a node array to one row per
-    integrand.
-
-    Row k follows :func:`trapezoid_integrate` bit for bit with tolerance
-    ``tol[k]``, or ``cfg.tol * max(1, |first estimate|)`` when ``tol`` is
-    None, and stops at its own level.  Returns the sums and tolerances.
-    """
-    n = cfg.panels
-    xs = np.linspace(lo, hi, n + 1)
-    ys = f(xs)
-    h = (hi - lo) / n
-    total = _finite(
-        h * (0.5 * ys[:, 0] + ys[:, 1:-1].sum(axis=1) + 0.5 * ys[:, -1]),
-        xs, ys)
-    if tol is None:
-        tol = cfg.tol * np.maximum(1.0, np.abs(total))
-    active = np.arange(total.size)
-    for _ in range(cfg.max_doublings):
-        mids = lo + h * (np.arange(n) + 0.5)
-        ym = f(mids)
-        if active.size < total.size:
-            ym = ym[active]
-        sums = _finite(ym.sum(axis=1), mids, ym)
-        refined = 0.5 * (total[active] + h * sums)
-        diff = np.abs(refined - total[active])
-        total[active] = refined
-        n *= 2
-        h *= 0.5
-        active = active[~(diff < tol[active])]
-        if not active.size:
-            break
-    return total, tol
-
-
-def _finite(reduced: np.ndarray, xs: np.ndarray, ys: np.ndarray
-            ) -> np.ndarray:
-    """``reduced``, row sums of the integrand values ``ys`` at nodes ``xs``,
-    once no value is found non-finite.  A non-finite value makes its row
-    sum non-finite, so the values are searched only when a sum is."""
-    if not np.isfinite(reduced).all():
-        bad = ~np.isfinite(ys)
-        if bad.any():
-            x_bad = float(xs[np.argwhere(bad)[0, -1]])
-            raise QuadratureError(
-                f"integrand is not finite at x={x_bad!r}", abscissa=x_bad)
-    return reduced
 
 
 def covariance_exact_quadrature(

@@ -257,7 +257,12 @@ def cmd_simulate(args) -> int:
                            master_seed=args.seed,
                            coefficient_mode=args.mode,
                            sigma_methods=methods)
-    outdir = args.out or os.environ.get("MOMEST_OUTDIR") or "momest-report"
+    outdir = Path(args.out or os.environ.get("MOMEST_OUTDIR")
+                  or "momest-report")
+    for part in (outdir, *outdir.parents):
+        if part.exists() and not part.is_dir():
+            raise MomestError(f"cannot write the report to {outdir}: {part} "
+                              f"is not a directory")
     report = run_simulation(cfg, workers=args.workers)
     paths = write_report(report, outdir)
     print(f"{law}  n={cfg.n}  replications={cfg.replications}  "
@@ -271,7 +276,7 @@ def cmd_simulate(args) -> int:
     for key, rate in report.omnibus_rates.items():
         shown = "singular" if rate is None else f"{100.0 * rate:.2f}%"
         print(f"omnibus rejection {key}: {shown}")
-    print(f"wrote {len(paths)} files to {Path(outdir).resolve()}")
+    print(f"wrote {len(paths)} files to {outdir.resolve()}")
     return EXIT_OK
 
 

@@ -30,9 +30,11 @@ class SingularCovarianceError(MomestError, ValueError):
 
 
 class QuadratureError(MomestError, ArithmeticError):
-    """The integrand produced a non-finite value.
+    """The integrand produced a non-finite value, or the upper tail of an
+    exact-quadrature Σ integral had not settled after its last block.
 
-    Carries the offending abscissa in ``abscissa``.
+    Carries in ``abscissa`` the offending node, or the point where the tail
+    extension stopped.
     """
 
     def __init__(self, message: str, abscissa: float):

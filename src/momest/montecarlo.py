@@ -85,6 +85,9 @@ class SimulationConfig:
             raise DomainError("master_seed must fit in 64 unsigned bits")
         if not self.sigma_methods:
             raise DomainError("at least one sigma method must be selected")
+        if len(set(self.sigma_methods)) < len(self.sigma_methods):
+            names = " ".join(m.value for m in self.sigma_methods)
+            raise DomainError(f"sigma methods must not repeat, got {names}")
 
 
 @dataclass(frozen=True)

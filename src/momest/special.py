@@ -5,7 +5,10 @@ API; every one of them is cross-checked in the test suite against brute-force
 quadrature of the defining integrals.  They accept scalars or numpy arrays
 and return matching shapes.  The trapezoid integrator is implemented here
 directly because the whole exact-coefficient pipeline is specified in terms
-of panel-doubling trapezoid sums.
+of panel-doubling trapezoid sums.  :func:`trapezoid_integrate` and the
+exact-quadrature Σ route run the same integrator, :func:`_trapezoid_rows`,
+which integrates several integrands on shared nodes; one integrand is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -183,52 +186,86 @@ class QuadratureConfig:
 DEFAULT_QUAD_CONFIG = QuadratureConfig(panels=100, tol=1e-8, max_doublings=16)
 
 
-def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the vectorised integrand f on a grid."""
-    ys = np.asarray(f(xs), dtype=float)
-    if ys.shape != xs.shape:
-        raise DomainError(
-            f"integrand returned shape {ys.shape} on a grid of shape "
-            f"{xs.shape}; it must be vectorised")
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        x_bad = float(xs[bad][0])
-        raise QuadratureError(
-            f"integrand is not finite at x={x_bad!r}", abscissa=x_bad)
-    return ys
-
-
 def trapezoid_integrate(
     f: Callable,
     lo: float,
     hi: float,
     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG,
 ) -> float:
-    """Composite trapezoid rule with panel doubling.
+    """Composite trapezoid rule with panel doubling: the one-row case of
+    :func:`_trapezoid_rows` with the absolute tolerance ``cfg.tol``.
 
-    Starts from ``cfg.panels`` uniform panels on [lo, hi] and doubles the
-    panel count (re-using previous evaluations) until two successive
-    estimates differ by less than ``cfg.tol`` or ``cfg.max_doublings`` is
-    reached; the last estimate is returned either way.  ``f`` must be
-    vectorised: it maps an array of abscissae to an array of the same shape,
-    and any other shape raises :class:`DomainError`.  Raises
-    :class:`QuadratureError` if the integrand is non-finite anywhere on the
-    closed interval.
+    ``f`` must be vectorised: it maps an array of abscissae to an array of
+    the same shape, and any other shape raises :class:`DomainError`.
+    Raises :class:`QuadratureError` if the integrand is non-finite at a
+    node.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+
+    def row(xs: np.ndarray) -> np.ndarray:
+        ys = np.asarray(f(xs), dtype=float)
+        if ys.shape != xs.shape:
+            raise DomainError(
+                f"integrand returned shape {ys.shape} on a grid of shape "
+                f"{xs.shape}; it must be vectorised")
+        return ys[None, :]
+
+    total, _ = _trapezoid_rows(row, lo, hi, np.array([cfg.tol]), cfg)
+    return float(total[0])
+
+
+def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
+                    cfg: QuadratureConfig) -> tuple:
+    """Panel-doubling trapezoid sums on [lo, hi] of every row of the
+    vectorised integrand ``f``, which maps a node array to one row of
+    values per integrand.
+
+    The sums start from ``cfg.panels`` uniform panels.  Each doubling
+    evaluates ``f`` on the midpoints of the current panels only and halves
+    the panel width.  Row k stops at the first doubling that moves its
+    estimate by less than ``tol[k]``, or ``cfg.tol * max(1, |first
+    estimate|)`` when ``tol`` is None; every row stops after
+    ``cfg.max_doublings`` doublings, and the last estimate is kept either
+    way.  Raises :class:`QuadratureError` at the first non-finite value.
+    Returns the sums and tolerances.
+    """
     n = cfg.panels
-    ys = _evaluate(f, np.linspace(lo, hi, n + 1))
+    xs = np.linspace(lo, hi, n + 1)
+    ys = f(xs)
     h = (hi - lo) / n
-    total = h * (0.5 * ys[0] + ys[1:-1].sum() + 0.5 * ys[-1])
+    total = _finite(
+        h * (0.5 * ys[:, 0] + ys[:, 1:-1].sum(axis=1) + 0.5 * ys[:, -1]),
+        xs, ys)
+    if tol is None:
+        tol = cfg.tol * np.maximum(1.0, np.abs(total))
+    active = np.arange(total.size)
     for _ in range(cfg.max_doublings):
         mids = lo + h * (np.arange(n) + 0.5)
-        ym = _evaluate(f, mids)
-        refined = 0.5 * (total + h * ym.sum())
-        diff = abs(refined - total)
-        total = refined
+        ym = f(mids)
+        if active.size < total.size:
+            ym = ym[active]
+        sums = _finite(ym.sum(axis=1), mids, ym)
+        refined = 0.5 * (total[active] + h * sums)
+        diff = np.abs(refined - total[active])
+        total[active] = refined
         n *= 2
         h *= 0.5
-        if diff < cfg.tol:
+        active = active[~(diff < tol[active])]
+        if not active.size:
             break
-    return float(total)
+    return total, tol
+
+
+def _finite(reduced: np.ndarray, xs: np.ndarray, ys: np.ndarray
+            ) -> np.ndarray:
+    """``reduced``, row sums of the integrand values ``ys`` at nodes ``xs``,
+    once no value is found non-finite.  A non-finite value makes its row
+    sum non-finite, so the values are searched only when a sum is."""
+    if not np.isfinite(reduced).all():
+        bad = ~np.isfinite(ys)
+        if bad.any():
+            x_bad = float(xs[np.argwhere(bad)[0, -1]])
+            raise QuadratureError(
+                f"integrand is not finite at x={x_bad!r}", abscissa=x_bad)
+    return reduced

@@ -401,6 +401,36 @@ class TestSimulate:
         assert code == EXIT_OK
         assert (tmp_path / "envout" / "report.json").exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_refused_before_the_study(
+            self, capsys, tmp_path, monkeypatch, below):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(momest.cli, "run_simulation", no_study)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        code, stdout, err = run_cli(
+            capsys, "simulate", "gamma", "2", "3", "--n", "20", "-B", "10",
+            "--seed", "1", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err and "not a directory" in err
+        assert afile.read_text() == "kept\n"
+
+    def test_repeated_sigma_method_refused(self, capsys, tmp_path):
+        out = tmp_path / "r"
+        code, _, err = run_cli(
+            capsys, "simulate", "gamma", "2", "3", "--n", "20", "-B", "10",
+            "--seed", "1", "--out", str(out), "--sigma-methods", "plugin",
+            "plugin")
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must not repeat" in err
+        assert not out.exists()
+
     def test_exact_quadrature_refuses_beta_below_one(self, capsys,
                                                      tmp_path):
         out = tmp_path / "q"

@@ -66,6 +66,14 @@ class TestRunSimulationSmall:
             SimulationConfig(law=GAMMA23, n=10, replications=10,
                              master_seed=1, sigma_methods=())
 
+    def test_repeated_sigma_method_refused(self):
+        with pytest.raises(DomainError, match="must not repeat"):
+            SimulationConfig(law=GAMMA23, n=10, replications=10,
+                             master_seed=1,
+                             sigma_methods=(SigmaMethod.PLUGIN,
+                                            SigmaMethod.EXACT_MOMENTS,
+                                            SigmaMethod.PLUGIN))
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
