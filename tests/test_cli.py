@@ -1,18 +1,25 @@
 """The command-line interface: parsing, outputs, exit codes, file formats."""
 
+import csv
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momest
-from momest import LawSpec, sample
-from momest.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECT, main
+from momest import LawSpec, SampleParseError, sample
+from momest.cli import (EXIT_INPUT, EXIT_OK, EXIT_REJECT, _number, main,
+                        read_sample)
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +269,130 @@ class TestByteOrderMark:
                                "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["moments"]["mean"] == 0.5
+
+
+def reference_read_sample(path, column):
+    """The cell-by-cell reader that ``read_sample`` must agree with: each
+    cell is stripped, then parsed and checked by ``_number`` in file
+    order."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    values = []
+    if column is None:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            cell = line.split("#", 1)[0].strip()
+            if cell:
+                values.append(_number(cell, path, lineno))
+    else:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None or column not in header:
+            raise SampleParseError(
+                f"{path}: no CSV column named {column!r} (found {header})")
+        if header.count(column) > 1:
+            raise SampleParseError(
+                f"{path}: CSV column {column!r} is named more than once")
+        index = header.index(column)
+        for row in reader:
+            cell = row[index].strip() if index < len(row) else ""
+            if cell:
+                values.append(_number(cell, path, reader.line_num))
+    if not values:
+        raise SampleParseError(f"{path}: no values found")
+    return np.array(values)
+
+
+def read_outcome(reader, path, column):
+    """The bytes of the values read, or the message of the parse error."""
+    try:
+        return reader(path, column).tobytes()
+    except SampleParseError as exc:
+        return str(exc)
+
+
+class TestReadSample:
+    """``read_sample`` pinned to the bits of its values, or to the exact
+    message of its first error in file order."""
+
+    CASES = {
+        "crlf": (b"1.5\r\n2.5\r\n", None, [1.5, 2.5]),
+        "bare-cr": (b"1.5\r2.5\r", None, [1.5, 2.5]),
+        "form-feed": (b"1.5\x0c2.5\n", None, [1.5, 2.5]),
+        "file-separator": (b"1.5\x1c2.5\n", None, [1.5, 2.5]),
+        "line-separator": ("1.5\u20282.5".encode(), None, [1.5, 2.5]),
+        "tab-nbsp-comment": ("\t1.5\xa0\n\xa0 2.5\t# note\n  # only\n"
+                             .encode(), None, [1.5, 2.5]),
+        "unit-separator": (b"\x1f2.5\x1f\n", None, [2.5]),
+        "numerals": ("1_000\n\u0661\u0662\n+.5\n-0.0\n1e-320\n".encode(),
+                     None, [1000.0, 12.0, 0.5, -0.0, 1e-320]),
+        "parse-before-inf": (b"1\nx\ninf\n", None,
+                             ":2: could not parse 'x' as a number"),
+        "inf-before-parse": (b"1\ninf\nx\n", None,
+                             ":2: 'inf' is not a finite number"),
+        "line-separator-numbers-lines": ("1\u2028x\n".encode(), None,
+                                         ":2: could not parse 'x' as a "
+                                         "number"),
+        "nan-with-comment": (b"0.5 # ok\n -nan # no\n", None,
+                             ":2: '-nan' is not a finite number"),
+        "csv-crlf": (b"id,value\r\n1,1.5\r\n2,x\r\n", "value",
+                     ":3: could not parse 'x' as a number"),
+        "csv-whitespace": ("id,value\n1,\x1f1.5\x1c\n2,\xa0-0.0\t\n"
+                           .encode(), "value", [1.5, -0.0]),
+        "csv-quoted-two-lines": (b'id,value\n"a\nb",1.5\n3,x\n', "value",
+                                 ":4: could not parse 'x' as a number"),
+        "csv-bad-quoted-cell": (b'id,value\n1,1.5\n2,"x\ny"\n3,inf\n',
+                                "value",
+                                ":4: could not parse 'x\\ny' as a number"),
+        "csv-inf-before-parse": (b"id,value\n1,Infinity\n2,x\n", "value",
+                                 ":2: 'Infinity' is not a finite number"),
+        "csv-parse-before-nan": (b"id,value\n1,1..5\n2,nan\n", "value",
+                                 ":2: could not parse '1..5' as a number"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_table(self, tmp_path, name):
+        data, column, expected = self.CASES[name]
+        path = tmp_path / "sample"
+        path.write_bytes(data)
+        got = read_outcome(read_sample, str(path), column)
+        if isinstance(expected, str):
+            assert got == f"{path}{expected}"
+        else:
+            assert got == np.array(expected).tobytes()
+
+    TOKENS = (list("0123456789") + ["-", "+", ".", "e", "E", "_", "#", " ",
+              "\t", "\xa0", "\x1c", "\x1f", "\u2028", "\x0c", "\r\n", "\r",
+              "\n", "nan", "inf", "\u0661", "x", ",", '"'])
+    FLOAT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    INTEGER = st.integers(-10 ** 6, 10 ** 6).map(str)
+    NONFINITE = st.sampled_from(["nan", "-inf", "1e400", "Infinity"])
+    JUNK = st.lists(st.sampled_from(TOKENS), max_size=6).map("".join)
+    CELL = st.one_of(FLOAT, FLOAT, FLOAT, INTEGER, INTEGER, NONFINITE, JUNK)
+    PAD = st.sampled_from(["", " ", "\t", "\xa0", "\x1f", "\u3000"])
+    BREAK = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c",
+                             "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    COMMENT = st.sampled_from(["", "", "# c", "#"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(st.tuples(PAD, CELL, PAD, COMMENT, BREAK),
+                          max_size=8),
+           as_csv=st.booleans(), bom=st.booleans())
+    def test_matches_reference_reader(self, lines, as_csv, bom):
+        if as_csv:
+            # a CSV row ends only at "\n" or "\r"; other breaks stay in the
+            # cell, where they are whitespace
+            text = "id,value\n" + "".join(
+                f"{i},{pad}{cell}{end}{brk}" + ("" if brk in "\r\n" else "\n")
+                for i, (pad, cell, end, _, brk) in enumerate(lines))
+            column = "value"
+        else:
+            text = "".join("".join(line) for line in lines)
+            column = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "sample")
+            Path(path).write_bytes(("\ufeff" if bom else "").encode()
+                                   + text.encode())
+            assert (read_outcome(read_sample, path, column)
+                    == read_outcome(reference_read_sample, path, column))
 
 
 class TestTestCommand:
