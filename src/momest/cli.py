@@ -117,34 +117,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
-    """One value per line, or the ``column`` of a headered CSV."""
+    """One value per line, or the ``column`` of a headered CSV.
+
+    The cells of :func:`_cells` that are not blank are made into floats by
+    one ``map(float, ...)`` pass and checked for finiteness once.  A value
+    that ``float`` parses has the bits of its stripped cell, because
+    ``float`` strips a subset of the whitespace that ``str.strip`` does.
+    When ``float`` refuses a cell, a value is not finite or the CSV reader
+    fails, the cells are walked again in file order through
+    :func:`_number`: the first bad cell raises its error, naming its line,
+    and if there is none (``float`` does not strip the separators
+    ``\x1c``-``\x1f``), the walk's values are returned.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
-    values = []
-    if column is None:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            cell = line.split("#", 1)[0].strip()
-            if cell:
-                values.append(_number(cell, path, lineno))
-    else:
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or column not in header:
-            raise SampleParseError(
-                f"{path}: no CSV column named {column!r} (found {header})")
-        if header.count(column) > 1:
-            raise SampleParseError(
-                f"{path}: CSV column {column!r} is named more than once")
-        index = header.index(column)
-        for row in reader:
-            cell = row[index].strip() if index < len(row) else ""
-            if cell:
-                values.append(_number(cell, path, reader.line_num))
-    if not values:
+    cells, _ = _cells(text, path, column)
+    try:
+        values = np.array(list(map(float, filter(str.strip, cells))))
+        parsed = bool(np.isfinite(values).all())
+    except (ValueError, csv.Error):
+        parsed = False
+    if not parsed:
+        values = np.array(_walk_cells(text, path, column))
+    if not values.size:
         raise SampleParseError(f"{path}: no values found")
-    return np.array(values)
+    return values
+
+
+def _cells(text: str, path: str, column: Optional[str]):
+    """The cells of a sample file in file order, unstripped, and the CSV
+    reader that yields them (None for a plain file).
+
+    A plain file has one cell per line, the part before any ``#``; a CSV
+    file one per row after the header that reaches the column.  The
+    cells are produced as they are read.
+    """
+    if column is None:
+        return (line.partition("#")[0] for line in text.splitlines()), None
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise SampleParseError(f"{path}:{reader.line_num}: {exc}")
+    if header is None or column not in header:
+        raise SampleParseError(
+            f"{path}: no CSV column named {column!r} (found {header})")
+    if header.count(column) > 1:
+        raise SampleParseError(
+            f"{path}: CSV column {column!r} is named more than once")
+    index = header.index(column)
+    return (row[index] for row in reader if index < len(row)), reader
+
+
+def _walk_cells(text: str, path: str, column: Optional[str]) -> list:
+    """The values of the cells that are not blank, each parsed and checked
+    by :func:`_number` in file order.  A CSV file that the reader refuses
+    (a cell longer than ``csv.field_size_limit()``) raises at the line
+    where the reader stopped."""
+    cells, reader = _cells(text, path, column)
+    values = []
+    try:
+        for lineno, cell in enumerate(cells, start=1):
+            cell = cell.strip()
+            if cell:
+                values.append(_number(
+                    cell, path, lineno if reader is None else reader.line_num))
+    except csv.Error as exc:
+        raise SampleParseError(f"{path}:{reader.line_num}: {exc}")
+    return values
 
 
 def _number(cell: str, path: str, lineno: int) -> float:

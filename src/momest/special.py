@@ -198,7 +198,7 @@ def trapezoid_integrate(
     ``f`` must be vectorised: it maps an array of abscissae to an array of
     the same shape, and any other shape raises :class:`DomainError`.
     Raises :class:`QuadratureError` if the integrand is non-finite at a
-    node.
+    node, or if a sum of its finite values overflows.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"need finite lo < hi, got lo={lo}, hi={hi}")
@@ -227,7 +227,8 @@ def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
     estimate by less than ``tol[k]``, or ``cfg.tol * max(1, |first
     estimate|)`` when ``tol`` is None; every row stops after
     ``cfg.max_doublings`` doublings, and the last estimate is kept either
-    way.  Raises :class:`QuadratureError` at the first non-finite value.
+    way.  Raises :class:`QuadratureError` at the first non-finite value,
+    or when a sum of finite values overflows.
     Returns the sums and tolerances.
     """
     n = cfg.panels
@@ -246,7 +247,7 @@ def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
         if active.size < total.size:
             ym = ym[active]
         sums = _finite(ym.sum(axis=1), mids, ym)
-        refined = 0.5 * (total[active] + h * sums)
+        refined = _finite(0.5 * (total[active] + h * sums), mids, ym)
         diff = np.abs(refined - total[active])
         total[active] = refined
         n *= 2
@@ -259,13 +260,19 @@ def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
 
 def _finite(reduced: np.ndarray, xs: np.ndarray, ys: np.ndarray
             ) -> np.ndarray:
-    """``reduced``, row sums of the integrand values ``ys`` at nodes ``xs``,
-    once no value is found non-finite.  A non-finite value makes its row
-    sum non-finite, so the values are searched only when a sum is."""
+    """``reduced``, computed from the rows of integrand values ``ys`` at
+    nodes ``xs``, once it is found finite.  A non-finite value makes its
+    row's result non-finite, so the values are searched only when a result
+    is; when every value is finite, a sum overflowed."""
     if not np.isfinite(reduced).all():
         bad = ~np.isfinite(ys)
         if bad.any():
             x_bad = float(xs[np.argwhere(bad)[0, -1]])
             raise QuadratureError(
                 f"integrand is not finite at x={x_bad!r}", abscissa=x_bad)
+        row = int(np.argmax(~np.isfinite(reduced)))
+        x_big = float(xs[np.argmax(np.abs(ys[row]))])
+        raise QuadratureError(
+            f"trapezoid sum overflowed; the integrand is largest in "
+            f"magnitude at x={x_big!r}", abscissa=x_big)
     return reduced

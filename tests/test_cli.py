@@ -235,6 +235,38 @@ class TestNonFiniteInput:
         assert f"{path}:3: 'NaN' is not a finite number" in err
 
 
+class TestOversizedCsvCell:
+    """A cell the CSV reader refuses is an input error, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ("estimate", "uniform"), ("test", "gamma", "2", "3")])
+    @pytest.mark.parametrize("lines, lineno", [
+        (["id,value", "1,0.5", "2,{big}", "3,0.75"], 3),
+        (["id,value{big}", "1,0.5"], 1),
+    ], ids=["row", "header"])
+    def test_exit_input_with_line(self, capsys, tmp_path, command, lines,
+                                  lineno):
+        big = "9" * (csv.field_size_limit() + 1)
+        path = tmp_path / "sample.csv"
+        path.write_text("\n".join(lines).format(big=big) + "\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, "--input", str(path),
+                                 "--column", "value")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (f"error: {path}:{lineno}: field larger than field "
+                       f"limit ({csv.field_size_limit()})\n")
+
+    def test_bad_value_before_it_wins(self, capsys, tmp_path):
+        big = "9" * (csv.field_size_limit() + 1)
+        path = tmp_path / "sample.csv"
+        path.write_text(f"id,value\n1,x\n2,{big}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "estimate", "gamma", "--input",
+                               str(path), "--column", "value")
+        assert code == EXIT_INPUT
+        assert err == f"error: {path}:2: could not parse 'x' as a number\n"
+
+
 class TestOverflowingMoments:
     """Finite values whose squares overflow pass the parser but must not
     reach the estimator as inf or nan moments."""

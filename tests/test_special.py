@@ -219,6 +219,19 @@ class TestTrapezoid:
                                 0.0, 1.0, cfg)
         assert err.value.abscissa == bad
 
+    @pytest.mark.parametrize("f, hi, cfg, at", [
+        # the first sum of finite node values overflows
+        (lambda x: np.full_like(x, 1e308), 10.0, DEFAULT_QUAD_CONFIG, 0.0),
+        # the sums stay finite, the first refined total does not: on 2
+        # panels of [0, 2] the total is 1e308 and the midpoint sum 1e308
+        (lambda x: np.where((x == 1.0) | (x == 0.5), 1e308, 0.0), 2.0,
+         QuadratureConfig(panels=2, tol=1e-300, max_doublings=3), 0.5),
+    ], ids=["sum", "refined-total"])
+    def test_overflow_of_finite_values_raises(self, f, hi, cfg, at):
+        with pytest.raises(QuadratureError, match="overflowed") as err:
+            trapezoid_integrate(f, 0.0, hi, cfg)
+        assert err.value.abscissa == at
+
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             trapezoid_integrate(lambda x: x, 1.0, 0.0)
