@@ -119,15 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     """One value per line, or the ``column`` of a headered CSV.
 
-    The cells of :func:`_cells` that are not blank are made into floats by
-    one ``map(float, ...)`` pass and checked for finiteness once.  A value
-    that ``float`` parses has the bits of its stripped cell, because
-    ``float`` strips a subset of the whitespace that ``str.strip`` does.
-    When ``float`` refuses a cell, a value is not finite or the CSV reader
-    fails, the cells are walked again in file order through
-    :func:`_number`: the first bad cell raises its error, naming its line,
-    and if there is none (``float`` does not strip the separators
-    ``\x1c``-``\x1f``), the walk's values are returned.
+    The cells that are not blank go through ``float`` in one pass, and the
+    values are checked for finiteness once.  ``float`` strips a subset of
+    the whitespace that ``str.strip`` strips, so every value it parses has
+    the bits of its stripped cell.  If ``float`` refuses a cell, a value is
+    not finite, or the CSV reader fails, the text is walked again cell by
+    cell in file order through :func:`_number`, so the first bad cell
+    raises its own message with its line.  A walk that finds no bad cell
+    (``float`` does not strip the separators U+001C to U+001F) returns its
+    values.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -136,7 +136,7 @@ def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     cells, _ = _cells(text, path, column)
     try:
         values = np.array(list(map(float, filter(str.strip, cells))))
-        parsed = bool(np.isfinite(values).all())
+        parsed = np.isfinite(values).all()
     except (ValueError, csv.Error):
         parsed = False
     if not parsed:

@@ -246,8 +246,8 @@ def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
         ym = f(mids)
         if active.size < total.size:
             ym = ym[active]
-        sums = _finite(ym.sum(axis=1), mids, ym)
-        refined = _finite(0.5 * (total[active] + h * sums), mids, ym)
+        refined = _finite(0.5 * (total[active] + h * ym.sum(axis=1)),
+                          mids, ym)
         diff = np.abs(refined - total[active])
         total[active] = refined
         n *= 2
