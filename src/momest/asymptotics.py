@@ -281,8 +281,19 @@ def _verbatim_coefficients(kind: LawKind, m1: float, m2: float
             -2.0 / (mu - 1.0) ** 2, 0.0)
 
 
-def _required_moment_order(h: QuadraticInfluence, l: QuadraticInfluence) -> int:
-    return 4 if (h.c2 != 0.0 or l.c2 != 0.0) else 2
+def _required_moments(law: LawSpec, h: QuadraticInfluence,
+                      l: QuadraticInfluence) -> Tuple[float, ...]:
+    """Raw moments (m1, m2, m3, m4) of ``law`` that Var/Cov of the pair
+    (h, l) needs, required in the order 1, 2, 4, 3, so that a missing
+    fourth moment names its bound (Fisher: b > 8); m3 = m4 = 0 when both
+    c2 vanish."""
+    mom = theoretical_moments(law)
+    m1, m2 = mom.require(1), mom.require(2)
+    if h.c2 == 0.0 and l.c2 == 0.0:
+        return m1, m2, 0.0, 0.0
+    m4 = mom.require(4)
+    m3 = mom.require(3)
+    return m1, m2, m3, m4
 
 
 def covariance_exact_moments(
@@ -293,14 +304,7 @@ def covariance_exact_moments(
     """Closed-form Var/Cov of the influence pair under ``law``:
     Var(c1 X + c2 X^2) = c1^2 v11 + 2 c1 c2 v12 + c2^2 v22 with
     v11 = Var X, v12 = Cov(X, X^2), v22 = Var X^2."""
-    mom = theoretical_moments(law)
-    m1 = mom.require(1)
-    m2 = mom.require(2)
-    if _required_moment_order(h, l) == 4:
-        m4 = mom.require(4)
-        m3 = mom.require(3)
-    else:
-        m3 = m4 = 0.0
+    m1, m2, m3, m4 = _required_moments(law, h, l)
     v11 = m2 - m1 * m1
     v12 = m3 - m1 * m2
     v22 = m4 - m2 * m2
@@ -373,12 +377,7 @@ def covariance_exact_quadrature(
         raise DomainError(
             f"exact-quadrature sigma needs a density bounded at x = 1, but "
             f"{law} has b = {law.p2:g} < 1; use exact-moments")
-    mom = theoretical_moments(law)
-    if _required_moment_order(h, l) == 4:
-        mom.require(4)  # integrability guard (Fisher: b > 8)
-        mom.require(3)
-    else:
-        mom.require(2)
+    _required_moments(law, h, l)  # integrability guard
 
     def weights(x):
         w = np.empty((5, x.size))

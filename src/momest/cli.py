@@ -131,7 +131,7 @@ def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
     cells, _ = _cells(text, path, column)
     try:

@@ -1,11 +1,13 @@
 """Replicated-estimation Monte-Carlo harness.
 
-For a configured law, sample size n and replication count B, the harness
-draws B independent samples (replication j uses the documented substream
-seed of the master seed), estimates (a_hat, b_hat) on each, and aggregates:
+For a configured law, sample size n and replication count B, the engine
+(``_replicate``) draws B independent samples (replication j uses the
+documented substream seed of the master seed) and returns one record: per
+replication (a_hat, b_hat) and the plugin statistics sd(H(X)), sd(L(X)),
+cov(H(X), L(X)), with the count of infeasible replications.  The summary
+(:func:`run_simulation`) reduces that record to a report:
 
 * scaled deviations sqrt(n)(a_hat - a), sqrt(n)(b_hat - b),
-* per-replication plugin statistics sd(H(X)), sd(L(X)), cov(H(X), L(X)),
 * point-estimation error summaries (ME, MAE, RMSE and the sd variant),
 * estimated-over-exact variance ratios,
 * the share of replications that the marginal and omnibus tests of
@@ -14,16 +16,16 @@ seed of the master seed), estimates (a_hat, b_hat) on each, and aggregates:
 Replications violating an estimator precondition are counted as infeasible
 and excluded (never resampled, which would bias calibration rates).
 Reports are bit-identical for identical configurations regardless of the
-worker count: replication j depends only on its own substream and
-aggregation runs in replication order.
+worker count: replication j depends only on its own substream, and the
+records of row blocks and thread ranges merge in replication order.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -120,8 +122,8 @@ class SimulationReport:
     sigma_plugin: Optional[Covariance2]
     sigma_replication: Optional[Covariance2]
     ratios: Optional[Dict[str, float]]
-    marginal_rates: Dict[str, float] = field(default_factory=dict)
-    omnibus_rates: Dict[str, Optional[float]] = field(default_factory=dict)
+    marginal_rates: Dict[str, float]
+    omnibus_rates: Dict[str, Optional[float]]
 
     @property
     def feasible(self) -> int:
@@ -188,10 +190,31 @@ def _aggregate_plugin(sd_h, sd_l, cov_hl, mode: CoefficientMode
     return s11, s22, float(np.mean(cov_hl))
 
 
+class _Replicates(NamedTuple):
+    """Per-replication record of a study, in replication order: the
+    estimates and plugin statistics of the feasible replications, and the
+    number of infeasible ones."""
+
+    a_hat: np.ndarray
+    b_hat: np.ndarray
+    sd_h: np.ndarray
+    sd_l: np.ndarray
+    cov_hl: np.ndarray
+    infeasible: int
+
+
+def _merge(parts: Iterable[_Replicates]) -> _Replicates:
+    """The records of consecutive replication ranges joined into one."""
+    *arrays, counts = zip(*parts)
+    return _Replicates(*map(np.concatenate, arrays), int(sum(counts)))
+
+
 def _simulate_block(law: LawSpec, n: int, master_seed: int,
                     j_lo: int, j_hi: int,
-                    h: QuadraticInfluence, l: QuadraticInfluence):
-    """Replications j_lo..j_hi-1 (1-based indices); returns per-rep arrays.
+                    h: QuadraticInfluence, l: QuadraticInfluence
+                    ) -> list[_Replicates]:
+    """Records of replications j_lo..j_hi-1 (1-based indices), one per
+    row block.
 
     Replications run in row blocks of ``ROW_BLOCK_VALUES // n`` samples
     (at least one): each block is drawn, estimated and reduced to its plugin
@@ -207,78 +230,27 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
         x = sample_rows(law, n, seeds, workspace)
         a_hat, b_hat, feasible = estimate_rows(law.kind, x)
         s11, s22, s12 = plugin_rows(x[feasible], h, l, workspace)
-        parts.append((a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
-                      feasible.size - np.count_nonzero(feasible)))
-    a_hat, b_hat, sd_h, sd_l, cov_hl = (
-        np.concatenate([p[k] for p in parts]) for k in range(5))
-    return a_hat, b_hat, sd_h, sd_l, cov_hl, sum(p[5] for p in parts)
+        parts.append(_Replicates(
+            a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
+            feasible.size - np.count_nonzero(feasible)))
+    return parts
 
 
-def run_simulation(cfg: SimulationConfig, workers: int = 1
-                   ) -> SimulationReport:
-    """Run the full replication study described by ``cfg``.
-
-    ``workers`` > 1 splits the replications over up to that many threads
-    (numpy releases the GIL); the report is byte-identical to a serial run.
-    """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    law, n, b_total = cfg.law, cfg.n, cfg.replications
-    h, l = influence_pair(law, cfg.coefficient_mode)
-
-    exact_routes = (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE)
-    sigmas = {m: sigma_for(m, law, h, l)
-              for m in exact_routes if m in cfg.sigma_methods}
-    sigma_exact = sigmas.get(SigmaMethod.EXACT_MOMENTS,
-                             sigmas.get(SigmaMethod.EXACT_QUADRATURE))
-
-    first, *others = _thread_ranges(b_total, workers)
+def _replicate(cfg: SimulationConfig, h: QuadraticInfluence,
+               l: QuadraticInfluence, workers: int) -> _Replicates:
+    """The record of every replication of ``cfg``, the same whatever the
+    worker count: ``workers`` > 1 splits the replications into contiguous
+    ranges over up to that many threads (numpy releases the GIL), and the
+    calling thread runs the first range."""
+    first, *others = _thread_ranges(cfg.replications, workers)
+    args = (cfg.law, cfg.n, cfg.master_seed)
     with ThreadPoolExecutor(max_workers=max(1, len(others))) as pool:
-        futures = [pool.submit(_simulate_block, law, n, cfg.master_seed,
-                               lo, hi, h, l) for lo, hi in others]
-        blocks = [_simulate_block(law, n, cfg.master_seed, *first, h, l)]
-        blocks += [f.result() for f in futures]
-
-    a_hat, b_hat, sd_h, sd_l, cov_hl = (
-        np.concatenate([blk[k] for blk in blocks]) for k in range(5))
-    infeasible = int(sum(blk[5] for blk in blocks))
-    if a_hat.size < 2:
-        raise MomestError(
-            f"only {a_hat.size} of {b_total} replications were feasible")
-
-    dev_a = np.sqrt(n) * (a_hat - law.p1)
-    dev_b = np.sqrt(n) * (b_hat - law.p2)
-    err_a, err_b = error_table(a_hat, b_hat, law.p1, law.p2)
-
-    if SigmaMethod.REPLICATION in cfg.sigma_methods:
-        sigmas[SigmaMethod.REPLICATION] = covariance_replication(dev_a, dev_b)
-    if SigmaMethod.PLUGIN in cfg.sigma_methods:
-        p11, p22, p12 = _aggregate_plugin(sd_h, sd_l, cov_hl,
-                                          cfg.coefficient_mode)
-        # aggregated across replications; not guaranteed PSD, so built
-        # without the Cauchy-Schwarz check
-        sigmas[SigmaMethod.PLUGIN] = Covariance2(
-            s11=p11, s22=p22, s12=p12, det=p11 * p22 - p12 * p12,
-            method=SigmaMethod.PLUGIN)
-    sigma_rep = sigmas.get(SigmaMethod.REPLICATION)
-    sigma_plug = sigmas.get(SigmaMethod.PLUGIN)
-
-    ratios = None
-    if sigma_exact is not None and sigma_rep is not None:
-        ratios = ratio_table(sd_h, sd_l, cov_hl, sigma_rep, sigma_exact,
-                             cfg.coefficient_mode)
-
-    report = SimulationReport(
-        config=cfg, influence_a=h, influence_b=l,
-        a_hat=a_hat, b_hat=b_hat, dev_a=dev_a, dev_b=dev_b,
-        sd_h=sd_h, sd_l=sd_l, cov_hl=cov_hl,
-        infeasible_count=infeasible,
-        error_a=err_a, error_b=err_b,
-        sigma_exact=sigma_exact, sigma_plugin=sigma_plug,
-        sigma_replication=sigma_rep, ratios=ratios,
-    )
-    _attach_rates(report, sigmas)
-    return report
+        futures = [pool.submit(_simulate_block, *args, lo, hi, h, l)
+                   for lo, hi in others]
+        parts = _simulate_block(*args, *first, h, l)
+        for future in futures:
+            parts += future.result()
+    return _merge(parts)
 
 
 def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
@@ -288,27 +260,80 @@ def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _attach_rates(report: SimulationReport,
-                  sigmas: Dict[SigmaMethod, Covariance2]) -> None:
-    """Share of feasible replications on which each test of ``momest test``
-    rejects at 5%, per selected covariance method: nan for a variance entry
-    that is not positive and finite, None for a Σ too close to singular."""
-    law, n = report.config.law, report.config.n
-    a_hat, b_hat = report.a_hat, report.b_hat
-    for method in report.config.sigma_methods:
-        sig, tag = sigmas[method], method.value
+def run_simulation(cfg: SimulationConfig, workers: int = 1
+                   ) -> SimulationReport:
+    """Run the full replication study described by ``cfg``.
+
+    ``workers`` > 1 splits the replications over up to that many threads;
+    the report is byte-identical to a serial run.  The exact Σ routes run
+    before the replications, so a law they refuse fails at once.
+    """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    law, n, methods = cfg.law, cfg.n, cfg.sigma_methods
+    h, l = influence_pair(law, cfg.coefficient_mode)
+    exact_routes = (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE)
+    sigmas = {m: sigma_for(m, law, h, l)
+              for m in exact_routes if m in methods}
+
+    rep = _replicate(cfg, h, l, workers)
+    if rep.a_hat.size < 2:
+        raise MomestError(f"only {rep.a_hat.size} of {cfg.replications} "
+                          f"replications were feasible")
+    dev_a = np.sqrt(n) * (rep.a_hat - law.p1)
+    dev_b = np.sqrt(n) * (rep.b_hat - law.p2)
+    if SigmaMethod.REPLICATION in methods:
+        sigmas[SigmaMethod.REPLICATION] = covariance_replication(dev_a, dev_b)
+    if SigmaMethod.PLUGIN in methods:
+        p11, p22, p12 = _aggregate_plugin(rep.sd_h, rep.sd_l, rep.cov_hl,
+                                          cfg.coefficient_mode)
+        # aggregated across replications; not guaranteed PSD, so built
+        # without the Cauchy-Schwarz check
+        sigmas[SigmaMethod.PLUGIN] = Covariance2(
+            s11=p11, s22=p22, s12=p12, det=p11 * p22 - p12 * p12,
+            method=SigmaMethod.PLUGIN)
+    sigma_exact = sigmas.get(SigmaMethod.EXACT_MOMENTS,
+                             sigmas.get(SigmaMethod.EXACT_QUADRATURE))
+    sigma_rep = sigmas.get(SigmaMethod.REPLICATION)
+    err_a, err_b = error_table(rep.a_hat, rep.b_hat, law.p1, law.p2)
+    marginal, omnibus = _rates(law, n, rep.a_hat, rep.b_hat,
+                               [sigmas[m] for m in methods])
+    return SimulationReport(
+        config=cfg, influence_a=h, influence_b=l,
+        a_hat=rep.a_hat, b_hat=rep.b_hat, dev_a=dev_a, dev_b=dev_b,
+        sd_h=rep.sd_h, sd_l=rep.sd_l, cov_hl=rep.cov_hl,
+        infeasible_count=rep.infeasible, error_a=err_a, error_b=err_b,
+        sigma_exact=sigma_exact, sigma_plugin=sigmas.get(SigmaMethod.PLUGIN),
+        sigma_replication=sigma_rep,
+        ratios=(None if sigma_exact is None or sigma_rep is None else
+                ratio_table(rep.sd_h, rep.sd_l, rep.cov_hl, sigma_rep,
+                            sigma_exact, cfg.coefficient_mode)),
+        marginal_rates=marginal, omnibus_rates=omnibus)
+
+
+def _rates(law: LawSpec, n: int, a_hat: np.ndarray, b_hat: np.ndarray,
+           sigmas: Iterable[Covariance2]
+           ) -> Tuple[Dict[str, float], Dict[str, Optional[float]]]:
+    """Marginal and omnibus rates: the share of the estimates on which each
+    test of ``momest test`` rejects at 5%, keyed by each Σ's method in the
+    order given; nan for a variance entry that is not positive and finite,
+    None for a Σ too close to singular."""
+    marginal, omnibus = {}, {}
+    for sig in sigmas:
+        tag = sig.method.value
         for param, est, theta0, var_entry in (("a", a_hat, law.p1, sig.s11),
                                               ("b", b_hat, law.p2, sig.s22)):
             rate = float("nan")
             if _usable_variance(var_entry):
                 _, p = _marginal_core(est, theta0, var_entry, n)
                 rate = float(np.mean(_rejects(p)))
-            report.marginal_rates[f"{param}:{tag}"] = rate
+            marginal[f"{param}:{tag}"] = rate
         rate = None
         if sig.det > det_floor(sig):
             _, p = _omnibus_core(a_hat, b_hat, law.p1, law.p2, n, sig)
             rate = float(np.mean(_rejects(p)))
-        report.omnibus_rates[tag] = rate
+        omnibus[tag] = rate
+    return marginal, omnibus
 
 
 def qq_plot_data(values) -> np.ndarray:

@@ -10,12 +10,9 @@ import numpy as np
 
 from .asymptotics import Covariance2
 from .errors import DomainError, SingularCovarianceError
-from .special import chisq_sf, normal_quantile, normal_sf
+from .special import chisq_sf, normal_sf
 
 __all__ = ["TestReport", "marginal_test", "omnibus_test", "det_floor"]
-
-#: Two-sided 5% critical value for the marginal statistics.
-Z_CRIT_5PCT = normal_quantile(0.975)
 
 ALPHA = 0.05
 

@@ -235,9 +235,10 @@ def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
     xs = np.linspace(lo, hi, n + 1)
     ys = f(xs)
     h = (hi - lo) / n
-    total = _finite(
-        h * (0.5 * ys[:, 0] + ys[:, 1:-1].sum(axis=1) + 0.5 * ys[:, -1]),
-        xs, ys)
+    with np.errstate(over="ignore"):  # _finite raises on an overflow
+        total = h * (0.5 * ys[:, 0] + ys[:, 1:-1].sum(axis=1)
+                     + 0.5 * ys[:, -1])
+    total = _finite(total, xs, ys)
     if tol is None:
         tol = cfg.tol * np.maximum(1.0, np.abs(total))
     active = np.arange(total.size)
@@ -246,8 +247,9 @@ def _trapezoid_rows(f: Callable, lo: float, hi: float, tol,
         ym = f(mids)
         if active.size < total.size:
             ym = ym[active]
-        refined = _finite(0.5 * (total[active] + h * ym.sum(axis=1)),
-                          mids, ym)
+        with np.errstate(over="ignore"):
+            refined = 0.5 * (total[active] + h * ym.sum(axis=1))
+        refined = _finite(refined, mids, ym)
         diff = np.abs(refined - total[active])
         total[active] = refined
         n *= 2

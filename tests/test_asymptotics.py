@@ -264,6 +264,26 @@ class TestSigmaFor:
             sigma_for(SigmaMethod.REPLICATION, GAMMA23, h, l,
                       sample(GAMMA23, 50, 9))
 
+    EXACT_ROUTES = (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE)
+
+    @pytest.mark.parametrize("method", EXACT_ROUTES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("b", (5.0, 7.0, 8.0))
+    def test_exact_routes_share_moment_guard(self, method, b):
+        """Both exact routes refuse a Fisher law without a fourth moment
+        with the same message, and take a pair whose c2 are both zero,
+        which needs only the second moment: Var L = 180 at b = 5."""
+        law = LawSpec.fisher(5.0, b)
+        h, l = influence_pair(law)
+        with pytest.raises(MomentDomainError,
+                           match=r"^fourth moment requires b > 8$"):
+            sigma_for(method, law, h, l)
+        assert l.c2 == 0.0
+        sig = sigma_for(method, law, l, l)
+        want = covariance_exact_moments(law, l, l)
+        assert sig.s11 == pytest.approx(want.s11, rel=1e-7)
+        if b == 5.0:
+            assert sig.s11 == pytest.approx(180.0, rel=1e-7)
+
 
 def feasible_laws(shape_lo):
     """Laws with a fourth moment; shapes from ``shape_lo`` up."""

@@ -17,7 +17,8 @@ from momest import (Covariance2, DegenerateSampleError, LawKind, LawSpec,
                     run_simulation, sample, sample_rows, substream_seed,
                     write_report)
 from momest import montecarlo
-from momest.montecarlo import _simulate_block, _thread_ranges
+from momest.montecarlo import (_Replicates, _merge, _simulate_block,
+                               _thread_ranges)
 
 LAWS = (LawSpec.gamma(2.0, 3.0), LawSpec.beta(2.0, 3.0),
         LawSpec.uniform(0.0, 1.0), LawSpec.fisher(5.0, 12.0),
@@ -50,14 +51,16 @@ def reference_block(law, n, master, j_lo, j_hi, h, l):
         sd_h.append(np.sqrt(sig.s11))
         sd_l.append(np.sqrt(sig.s22))
         cov_hl.append(sig.s12)
-    return (np.array(a_hat), np.array(b_hat), np.array(sd_h),
-            np.array(sd_l), np.array(cov_hl), infeasible)
+    return _Replicates(a_hat=np.array(a_hat), b_hat=np.array(b_hat),
+                       sd_h=np.array(sd_h), sd_l=np.array(sd_l),
+                       cov_hl=np.array(cov_hl), infeasible=infeasible)
 
 
 def assert_blocks_equal(got, want):
-    for g, w in zip(got[:5], want[:5]):
-        assert np.asarray(g, dtype=float).tobytes() == w.tobytes()
-    assert got[5] == want[5]
+    for name in ("a_hat", "b_hat", "sd_h", "sd_l", "cov_hl"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == np.float64 and g.tobytes() == w.tobytes(), name
+    assert type(got.infeasible) is int and got.infeasible == want.infeasible
 
 
 class TestRowSampler:
@@ -276,17 +279,17 @@ class TestBlocks:
         rows = max(1, montecarlo.ROW_BLOCK_VALUES // n)
         assert b_total % rows != 0
         h, l = influence_pair(law)
-        got = _simulate_block(law, n, MASTER, 1, b_total + 1, h, l)
+        got = _merge(_simulate_block(law, n, MASTER, 1, b_total + 1, h, l))
         assert_blocks_equal(got, reference_block(law, n, MASTER, 1,
                                                  b_total + 1, h, l))
 
     def test_infeasible_rows_counted(self):
         law = LawSpec.fisher(5.0, 10.0)
         h, l = influence_pair(law)
-        got = _simulate_block(law, 3, MASTER, 5, 95, h, l)
+        got = _merge(_simulate_block(law, 3, MASTER, 5, 95, h, l))
         want = reference_block(law, 3, MASTER, 5, 95, h, l)
         assert_blocks_equal(got, want)
-        assert 0 < got[5] < 90
+        assert 0 < got.infeasible < 90
 
     def test_workers_equal_serial(self, tmp_path, monkeypatch):
         """n = 9000 puts one row in a block; B = 2 with 3 workers has more
@@ -350,8 +353,27 @@ def test_batched_equals_per_row(law, n, master, b_total, budget):
     saved = montecarlo.ROW_BLOCK_VALUES
     montecarlo.ROW_BLOCK_VALUES = budget
     try:
-        got = _simulate_block(law, n, master, 1, b_total + 1, h, l)
+        got = _merge(_simulate_block(law, n, master, 1, b_total + 1, h, l))
     finally:
         montecarlo.ROW_BLOCK_VALUES = saved
     assert_blocks_equal(got, reference_block(law, n, master, 1, b_total + 1,
                                              h, l))
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=laws_strategy(), n=st.integers(2, 300),
+       master=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_merged_ranges_equal_one_range(law, n, master, data):
+    """Any cut of [1, B] into contiguous ranges, each simulated on its own,
+    merges in order into the record of the whole range, the infeasible
+    count included; no thread is started."""
+    b_total = data.draw(st.integers(1, 60), label="b_total")
+    cut = data.draw(st.lists(st.booleans(), min_size=b_total - 1,
+                             max_size=b_total - 1), label="cut before j")
+    bounds = [1, *(j for j, c in zip(range(2, b_total + 1), cut) if c),
+              b_total + 1]
+    h, l = influence_pair(law)
+    parts = [record for lo, hi in zip(bounds[:-1], bounds[1:])
+             for record in _simulate_block(law, n, master, lo, hi, h, l)]
+    assert_blocks_equal(_merge(parts), _merge(_simulate_block(
+        law, n, master, 1, b_total + 1, h, l)))

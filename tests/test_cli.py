@@ -281,6 +281,29 @@ class TestOverflowingMoments:
         assert "var_biased overflowed" in err
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error naming the file, not a
+    UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ("estimate", "gamma"), ("test", "gamma", "2", "3")])
+    @pytest.mark.parametrize("name, data, column, position", [
+        ("sample.txt", b"1.0\n\xff\n", (), 4),
+        ("sample.csv", b"id,x\n1,0.5\n2,\xff\n", ("--column", "x"), 13),
+    ], ids=["plain", "csv"])
+    def test_exit_input_naming_file(self, capsys, tmp_path, command, name,
+                                    data, column, position):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *command, "--input", str(path),
+                                 *column)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (f"error: cannot read {path}: 'utf-8' codec can't "
+                       f"decode byte 0xff in position {position}: invalid "
+                       f"start byte\n")
+
+
 class TestByteOrderMark:
     def test_plain(self, capsys, tmp_path):
         plain = tmp_path / "plain.txt"

@@ -11,7 +11,8 @@ import pytest
 
 from momest import (CoefficientMode, Covariance2, DegenerateSampleError,
                     DomainError,
-                    InsufficientDataError, LawKind, LawSpec, SigmaMethod,
+                    InsufficientDataError, LawKind, LawSpec, MomestError,
+                    SigmaMethod,
                     SimulationConfig, SingularCovarianceError,
                     covariance_exact_moments, empirical_moments, error_table,
                     estimate, influence_pair, marginal_test, normal_quantile,
@@ -52,6 +53,7 @@ class TestRunSimulationSmall:
                                master_seed=31337,
                                sigma_methods=(SigmaMethod.REPLICATION,))
         report = run_simulation(cfg)
+        assert type(report.infeasible_count) is int
         assert report.infeasible_count > 0
         for arr in (report.a_hat, report.b_hat, report.dev_a, report.dev_b,
                     report.sd_h, report.sd_l, report.cov_hl):
@@ -73,6 +75,24 @@ class TestRunSimulationSmall:
                              sigma_methods=(SigmaMethod.PLUGIN,
                                             SigmaMethod.EXACT_MOMENTS,
                                             SigmaMethod.PLUGIN))
+
+    @pytest.mark.parametrize("law, method, match", [
+        (LawSpec.fisher(5.0, 7.0), SigmaMethod.EXACT_MOMENTS,
+         "fourth moment requires b > 8"),
+        (LawSpec.fisher(5.0, 8.1), SigmaMethod.EXACT_QUADRATURE,
+         "upper tail has not settled"),
+    ], ids=["moments", "quadrature"])
+    def test_refused_exact_sigma_fails_before_replications(
+            self, monkeypatch, law, method, match):
+        def no_block(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", no_block)
+        cfg = SimulationConfig(law=law, n=50, replications=30, master_seed=2,
+                               sigma_methods=(SigmaMethod.REPLICATION,
+                                              method))
+        with pytest.raises(MomestError, match=match):
+            run_simulation(cfg)
 
 
 class TestDeterminism:
@@ -394,14 +414,14 @@ class TestRatesAreTheCliTests:
                                master_seed=4,
                                sigma_methods=(SigmaMethod.EXACT_MOMENTS,))
         report = run_simulation(cfg)
-        finite = dict(report.marginal_rates)
         sig = Covariance2(s11=math.inf, s22=report.sigma_exact.s22, s12=0.0,
                           det=math.inf, method=SigmaMethod.EXACT_MOMENTS)
-        montecarlo._attach_rates(report, {SigmaMethod.EXACT_MOMENTS: sig})
-        assert math.isnan(report.marginal_rates["a:exact-moments"])
-        assert report.marginal_rates["b:exact-moments"] \
-            == finite["b:exact-moments"]
-        assert report.omnibus_rates == {"exact-moments": None}
+        marginal, omnibus = montecarlo._rates(
+            GAMMA23, 50, report.a_hat, report.b_hat, [sig])
+        assert math.isnan(marginal["a:exact-moments"])
+        assert marginal["b:exact-moments"] \
+            == report.marginal_rates["b:exact-moments"]
+        assert omnibus == {"exact-moments": None}
 
 
 class TestCalibrationChain:

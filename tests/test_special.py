@@ -1,6 +1,7 @@
 """Special functions against brute-force oracles, and the trapezoid engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,8 +229,12 @@ class TestTrapezoid:
          QuadratureConfig(panels=2, tol=1e-300, max_doublings=3), 0.5),
     ], ids=["sum", "refined-total"])
     def test_overflow_of_finite_values_raises(self, f, hi, cfg, at):
-        with pytest.raises(QuadratureError, match="overflowed") as err:
-            trapezoid_integrate(f, 0.0, hi, cfg)
+        """The error is the only report: numpy's overflow warning is not
+        printed before it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="overflowed") as err:
+                trapezoid_integrate(f, 0.0, hi, cfg)
         assert err.value.abscissa == at
 
     def test_bad_interval(self):
