@@ -6,6 +6,8 @@ the quartic-moment bilinear form Var(c1 X + c2 X^2) = c1^2 Var X
 + 2 c1 c2 Cov(X, X^2) + c2^2 Var X^2 before this module was written.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,9 +402,29 @@ class TestCovariance2:
         with pytest.raises(DomainError, match="finite"):
             Covariance2.build(*entries, SigmaMethod.PLUGIN)
 
+    @pytest.mark.parametrize("entries,message", [
+        ((-1.0, 2.0, 0.0), "negative variance entries: s11=-1.0, s22=2.0"),
+        ((1.0, 1.0, 1.5), "covariance violates |s12| <= sqrt(s11 s22): "
+                          "s11=1.0, s22=1.0, s12=1.5"),
+        ((-1e-15, 1.0, 0.5), "covariance violates |s12| <= sqrt(s11 s22): "
+                             "s11=0.0, s22=1.0, s12=0.5"),
+        ((float("nan"), 1.0, 0.0), "covariance entries must be finite, got "
+                                   "s11=nan, s22=1.0, s12=0.0"),
+    ])
+    def test_build_refusal_texts(self, entries, message):
+        with pytest.raises(DomainError) as excinfo:
+            Covariance2.build(*entries, SigmaMethod.EXACT_MOMENTS)
+        assert str(excinfo.value) == message
+
     def test_tiny_negative_clamped(self):
         sig = Covariance2.build(-1e-15, 1.0, 0.0, SigmaMethod.REPLICATION)
         assert sig.s11 == 0.0
+
+    def test_negative_zero_entry_comes_out_positive(self):
+        sig = Covariance2.build(-0.0, -0.0, 0.0, SigmaMethod.PLUGIN)
+        assert math.copysign(1.0, sig.s11) == 1.0
+        assert math.copysign(1.0, sig.s22) == 1.0
+        assert type(sig.s11) is float and type(sig.det) is float
 
     def test_correlation(self):
         sig = Covariance2.build(4.0, 9.0, 3.0, SigmaMethod.EXACT_MOMENTS)

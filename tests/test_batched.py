@@ -3,6 +3,7 @@ definitions: row samples, row estimates, row plugin statistics and whole
 blocks must equal the per-row results bit for bit."""
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -270,6 +271,21 @@ class TestRowPlugin:
             want = plugin_rows(x, h, l)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(LAWS), n=st.integers(2, 5000),
+           rows=st.integers(1, 50), master=st.integers(0, 2 ** 64 - 1))
+    def test_entries_meet_covariance_conditions(self, law, n, rows, master):
+        """Each row's entries pass :meth:`Covariance2.build`'s checks as
+        they are: the diagonals are sums of squares (never negative, never
+        -0.0) and Cauchy-Schwarz holds up to the build tolerance."""
+        h, l = influence_pair(law)
+        x = sample_rows(law, n, seeds(rows, master))
+        s11, s22, s12 = plugin_rows(x, h, l)
+        for a, b, c in zip(s11.tolist(), s22.tolist(), s12.tolist()):
+            assert math.copysign(1.0, a) == 1.0 and a >= 0.0
+            assert math.copysign(1.0, b) == 1.0 and b >= 0.0
+            assert abs(c) <= math.sqrt(a * b) + 1e-9 * max(a, b, 1.0)
 
 
 class TestBlocks:
