@@ -157,40 +157,26 @@ class Covariance2:
     @classmethod
     def build(cls, s11: float, s22: float, s12: float,
               method: SigmaMethod) -> "Covariance2":
+        """Round-off negative variances clamped to zero; raises
+        :class:`DomainError` for a non-finite entry, a clearly negative
+        variance or a covariance breaking Cauchy-Schwarz."""
+        s11, s22, s12 = float(s11), float(s22), float(s12)
         if not all(math.isfinite(v) for v in (s11, s22, s12)):
             raise DomainError(
                 f"covariance entries must be finite, got s11={s11}, "
                 f"s22={s22}, s12={s12}")
-        s11, s22 = _clamp_entries(s11, s22, s12)
-        return cls(s11=float(s11), s22=float(s22), s12=float(s12),
-                   det=float(s11 * s22 - s12 * s12), method=method)
-
-
-def _clamp_entries(s11, s22, s12):
-    """(s11, s22) with round-off negatives clamped to zero; raises
-    :class:`DomainError` for a clearly negative variance or a covariance
-    breaking Cauchy-Schwarz.  Works on floats and, entry by entry, on
-    arrays, where the first offending entry is reported."""
-    tol = 1e-9 * np.maximum(np.maximum(np.abs(s11), np.abs(s22)), 1.0)
-    negative = (s11 < -tol) | (s22 < -tol)
-    if np.any(negative):
-        i = np.flatnonzero(negative)[0]
-        raise DomainError(
-            f"negative variance entries: s11={_entry(s11, i)}, "
-            f"s22={_entry(s22, i)}")
-    s11, s22 = np.maximum(s11, 0.0), np.maximum(s22, 0.0)
-    broken = np.abs(s12) > np.sqrt(s11 * s22) + tol
-    if np.any(broken):
-        i = np.flatnonzero(broken)[0]
-        raise DomainError(
-            f"covariance violates |s12| <= sqrt(s11 s22): "
-            f"s11={_entry(s11, i)}, s22={_entry(s22, i)}, "
-            f"s12={_entry(s12, i)}")
-    return s11, s22
-
-
-def _entry(values, i: int) -> float:
-    return float(np.ravel(values)[i])
+        tol = 1e-9 * max(abs(s11), abs(s22), 1.0)
+        if s11 < -tol or s22 < -tol:
+            raise DomainError(
+                f"negative variance entries: s11={s11}, s22={s22}")
+        # max(0.0, s) keeps +0.0 for a -0.0 entry; max(s, 0.0) would not
+        s11, s22 = max(0.0, s11), max(0.0, s22)
+        if abs(s12) > math.sqrt(s11 * s22) + tol:
+            raise DomainError(
+                f"covariance violates |s12| <= sqrt(s11 s22): "
+                f"s11={s11}, s22={s22}, s12={s12}")
+        return cls(s11=s11, s22=s22, s12=s12, det=s11 * s22 - s12 * s12,
+                   method=method)
 
 
 def delta_gradient(kind: LawKind, m1: float, m2: float
@@ -400,14 +386,15 @@ def covariance_plugin(sample, h: QuadraticInfluence,
         raise InsufficientDataError(
             f"plugin covariance needs n >= 2, got {x.size}")
     s11, s22, s12 = plugin_rows(x[None, :], h, l)
-    return Covariance2.build(float(s11[0]), float(s22[0]), float(s12[0]),
-                             SigmaMethod.PLUGIN)
+    return Covariance2.build(s11[0], s22[0], s12[0], SigmaMethod.PLUGIN)
 
 
 def plugin_rows(x, h: QuadraticInfluence, l: QuadraticInfluence,
                 workspace: Optional[Workspace] = None) -> tuple:
     """Plugin (s11, s22, s12) arrays, one entry per row of the 2-D sample
-    block ``x``, checked and clamped as :meth:`Covariance2.build` does.
+    block ``x``, unchecked: each diagonal entry is a sum of squares times
+    1/(n-1), and Cauchy-Schwarz holds up to the round-off of a dot product
+    of length n, far inside :meth:`Covariance2.build`'s tolerance.
 
     Bit for bit ``np.cov`` of each row's influence values: the centred
     stack of H and L values is multiplied by its transpose, which runs the
@@ -425,9 +412,7 @@ def plugin_rows(x, h: QuadraticInfluence, l: QuadraticInfluence,
     stack -= np.add.reduce(stack, axis=2, keepdims=True) / n
     c = np.matmul(stack, stack.transpose(0, 2, 1))
     c *= 1.0 / (n - 1)
-    s12 = c[:, 0, 1]
-    s11, s22 = _clamp_entries(c[:, 0, 0], c[:, 1, 1], s12)
-    return s11, s22, s12
+    return c[:, 0, 0], c[:, 1, 1], c[:, 0, 1]
 
 
 def covariance_replication(dev_a, dev_b) -> Covariance2:
@@ -441,7 +426,7 @@ def covariance_replication(dev_a, dev_b) -> Covariance2:
         raise InsufficientDataError(
             f"replication covariance needs B >= 2, got {da.size}")
     c = np.cov(da, db, ddof=1)
-    return Covariance2.build(float(c[0, 0]), float(c[1, 1]), float(c[0, 1]),
+    return Covariance2.build(c[0, 0], c[1, 1], c[0, 1],
                              SigmaMethod.REPLICATION)
 
 

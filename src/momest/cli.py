@@ -119,28 +119,26 @@ def build_parser() -> argparse.ArgumentParser:
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     """One value per line, or the ``column`` of a headered CSV.
 
-    The cells that are not blank go through ``float`` in one pass, and the
-    values are checked for finiteness once.  ``float`` strips a subset of
-    the whitespace that ``str.strip`` strips, so every value it parses has
-    the bits of its stripped cell.  If ``float`` refuses a cell, a value is
-    not finite, or the CSV reader fails, the text is walked again cell by
-    cell in file order through :func:`_number`, so the first bad cell
-    raises its own message with its line.  A walk that finds no bad cell
-    (``float`` does not strip the separators U+001C to U+001F) returns its
-    values.
+    The stripped cells that are not blank go through ``float`` in one
+    pass, and the values are checked for finiteness once.  If ``float``
+    refuses a cell, a value is not finite, or the CSV reader fails, the
+    text is walked again cell by cell in file order through
+    :func:`_walk_cells`, so the first bad cell raises its own message with
+    its line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
     cells, _ = _cells(text, path, column)
+    stripped = filter(None, map(str.strip, cells))
     try:
-        values = np.array(list(map(float, filter(str.strip, cells))))
+        values = np.array(list(map(float, stripped)))
         parsed = np.isfinite(values).all()
     except (ValueError, csv.Error):
         parsed = False
     if not parsed:
-        values = np.array(_walk_cells(text, path, column))
+        _walk_cells(text, path, column)
     if not values.size:
         raise SampleParseError(f"{path}: no values found")
     return values
@@ -171,22 +169,20 @@ def _cells(text: str, path: str, column: Optional[str]):
     return (row[index] for row in reader if index < len(row)), reader
 
 
-def _walk_cells(text: str, path: str, column: Optional[str]) -> list:
-    """The values of the cells that are not blank, each parsed and checked
-    by :func:`_number` in file order.  A CSV file that the reader refuses
-    (a cell longer than ``csv.field_size_limit()``) raises at the line
-    where the reader stopped."""
+def _walk_cells(text: str, path: str, column: Optional[str]) -> None:
+    """Raises the error of the first bad cell: each cell that is not blank
+    is parsed and checked by :func:`_number` in file order.  A CSV file
+    that the reader refuses (a cell longer than ``csv.field_size_limit()``)
+    raises at the line where the reader stopped."""
     cells, reader = _cells(text, path, column)
-    values = []
     try:
         for lineno, cell in enumerate(cells, start=1):
             cell = cell.strip()
             if cell:
-                values.append(_number(
-                    cell, path, lineno if reader is None else reader.line_num))
+                _number(cell, path,
+                        lineno if reader is None else reader.line_num)
     except csv.Error as exc:
         raise SampleParseError(f"{path}:{reader.line_num}: {exc}")
-    return values
 
 
 def _number(cell: str, path: str, lineno: int) -> float:

@@ -1,5 +1,10 @@
 """Exception hierarchy shared by all momest modules."""
 
+__all__ = ["MomestError", "DomainError", "MomentDomainError",
+           "DegenerateSampleError", "InfeasibleMomentError",
+           "InsufficientDataError", "SingularCovarianceError",
+           "QuadratureError", "SampleParseError"]
+
 
 class MomestError(Exception):
     """Base class for every error raised by this package."""

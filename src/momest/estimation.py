@@ -29,7 +29,6 @@ from .errors import (DegenerateSampleError, DomainError,
 from .laws import LawKind
 
 __all__ = [
-    "HALF_WIDTH_FACTOR",
     "EmpiricalMoments",
     "ParamEstimate",
     "empirical_moments",

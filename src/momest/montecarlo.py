@@ -348,6 +348,8 @@ def qq_plot_data(values) -> np.ndarray:
 def silverman_bandwidth(values) -> float:
     """0.9 min(sd, IQR/1.34) n^(-1/5)."""
     v = np.asarray(values, dtype=float).ravel()
+    if v.size < 2:
+        raise InsufficientDataError("bandwidth needs at least 2 values")
     sd = float(np.std(v, ddof=1))
     q75, q25 = np.percentile(v, [75.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)

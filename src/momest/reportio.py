@@ -29,7 +29,7 @@ import numpy as np
 from .asymptotics import Covariance2
 from .montecarlo import SimulationReport, parzen_density, qq_plot_data
 
-__all__ = ["write_report", "report_to_dict", "render_json"]
+__all__ = ["write_report", "report_to_dict"]
 
 SCHEMA_VERSION = "1"
 

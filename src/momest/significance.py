@@ -12,7 +12,7 @@ from .asymptotics import Covariance2
 from .errors import DomainError, SingularCovarianceError
 from .special import chisq_sf, normal_sf
 
-__all__ = ["TestReport", "marginal_test", "omnibus_test", "det_floor"]
+__all__ = ["TestReport", "marginal_test", "omnibus_test"]
 
 ALPHA = 0.05
 

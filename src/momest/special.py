@@ -27,9 +27,7 @@ __all__ = [
     "DEFAULT_QUAD_CONFIG",
     "ln_gamma",
     "reg_inc_gamma",
-    "reg_inc_gamma_inv",
     "reg_inc_beta",
-    "reg_inc_beta_inv",
     "normal_cdf",
     "normal_sf",
     "normal_quantile",
@@ -183,7 +181,7 @@ class QuadratureConfig:
 
 
 #: Accurate default used everywhere in the library.
-DEFAULT_QUAD_CONFIG = QuadratureConfig(panels=100, tol=1e-8, max_doublings=16)
+DEFAULT_QUAD_CONFIG = QuadratureConfig()
 
 
 def trapezoid_integrate(

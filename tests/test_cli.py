@@ -414,6 +414,27 @@ class TestReadSample:
         else:
             assert got == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("column", [None, "value"])
+    def test_separator_padded_cells_need_no_walk(self, tmp_path, monkeypatch,
+                                                 column):
+        """Cells ending in U+001C to U+001F, which ``float`` does not strip
+        itself, are read in the one pass; the cell-by-cell walk only ever
+        raises a bad cell's error.  (In a plain file U+001C to U+001E also
+        end the line; U+001F stays in the cell.)"""
+        def walk(*args):
+            raise AssertionError("walked a file with no bad cell")
+
+        monkeypatch.setattr(momest.cli, "_walk_cells", walk)
+        cells = [f"{k / 7!r}{chr(0x1C + k % 4)}" for k in range(2000)]
+        lines = cells if column is None else [
+            f"{k},{cell}" for k, cell in enumerate(cells)]
+        header = [] if column is None else ["id,value"]
+        path = tmp_path / "sample"
+        path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+        got = read_sample(str(path), column)
+        want = np.array([k / 7 for k in range(2000)])
+        assert got.tobytes() == want.tobytes()
+
     TOKENS = (list("0123456789") + ["-", "+", ".", "e", "E", "_", "#", " ",
               "\t", "\xa0", "\x1c", "\x1f", "\u2028", "\x0c", "\r\n", "\r",
               "\n", "nan", "inf", "\u0661", "x", ",", '"'])

@@ -301,6 +301,13 @@ class TestParzen:
         with pytest.raises(DegenerateSampleError):
             parzen_density([1.0, 1.0], 0.0, 2.0, 11)
 
+    @pytest.mark.parametrize("values", [[], [1.0]])
+    def test_bandwidth_needs_two_values(self, values):
+        """Raised before numpy warns (nan for one value) or indexes an
+        empty percentile."""
+        with pytest.raises(InsufficientDataError, match="at least 2 values"):
+            montecarlo.silverman_bandwidth(values)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             parzen_density([0.0, 1.0], 2.0, 1.0, 11)

@@ -1,7 +1,14 @@
 """The public surface of the package: ``momest.__all__`` lists each public
 name once, and each resolves to an object of the package."""
 
+import importlib
+
+import pytest
+
 import momest
+
+MODULES = ("asymptotics", "errors", "estimation", "laws", "montecarlo",
+           "reportio", "rng", "significance", "special")
 
 PUBLIC = [
     'CoefficientMode', 'Covariance2', 'DEFAULT_QUAD_CONFIG',
@@ -36,3 +43,10 @@ def test_no_name_listed_twice():
 def test_each_name_resolves():
     for name in momest.__all__:
         assert getattr(momest, name) is not None, name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_names_are_exported(module):
+    """Each module's ``__all__`` is what the package exports of it."""
+    names = importlib.import_module(f"momest.{module}").__all__
+    assert set(names) <= set(momest.__all__)
