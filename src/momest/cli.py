@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
+import re
 import sys
 from dataclasses import asdict
 from math import isfinite
@@ -51,8 +53,18 @@ EXIT_INPUT = 2
 EXIT_REJECT = 3
 EXIT_SINGULAR = 4
 
+#: A ``#`` comment up to the end of its line: the class lists exactly the
+#: line boundaries of ``str.splitlines``.  Each comment is replaced by one
+#: space, which the cell's strip removes; deleting it instead would join
+#: a "\r" before it and a "\n" after it into one boundary and shift every
+#: later line number.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process
+    and shared by every :func:`main` call; callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="momest",
         description="Moment estimation, asymptotic covariances, marginal and "
@@ -149,11 +161,11 @@ def _cells(text: str, path: str, column: Optional[str]):
     reader that yields them (None for a plain file).
 
     A plain file has one cell per line, the part before any ``#``; a CSV
-    file one per row after the header that reaches the column.  The
-    cells are produced as they are read.
+    file one per row after the header that reaches the column, produced
+    as the rows are read.
     """
     if column is None:
-        return (line.partition("#")[0] for line in text.splitlines()), None
+        return _COMMENT.sub(" ", text).splitlines(), None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)

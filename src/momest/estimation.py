@@ -75,11 +75,7 @@ def empirical_moments(sample) -> EmpiricalMoments:
     if n < 2:
         raise InsufficientDataError(
             f"need at least 2 observations, got {n}")
-    if not np.isfinite(x).all():
-        bad = np.flatnonzero(~np.isfinite(x))
-        raise DomainError(
-            f"sample has {bad.size} non-finite value(s), the first at "
-            f"index {bad[0]}")
+    _require_finite(x)
     with np.errstate(over="ignore"):  # reported below by name
         mean, var_biased = (float(v[0]) for v in _row_moments(x[None, :]))
     mean_sq, var_unbiased = _derived(mean, var_biased, n)
@@ -91,6 +87,16 @@ def empirical_moments(sample) -> EmpiricalMoments:
                 f"sample moment {name} overflowed to {value}: the values are "
                 f"too large for double precision")
     return EmpiricalMoments(n=n, **moments)
+
+
+def _require_finite(x: np.ndarray) -> None:
+    """Raises :class:`DomainError` naming how many values of the flat
+    array ``x`` are not finite and the index of the first."""
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x))
+        raise DomainError(
+            f"sample has {bad.size} non-finite value(s), the first at "
+            f"index {bad[0]}")
 
 
 def _row_moments(x: np.ndarray) -> tuple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -130,42 +130,57 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     out = np.zeros_like(xs)
     if law.kind is LawKind.UNIFORM:
         inside = (xs >= a) & (xs <= b)
-        out[inside] = 1.0 / (b - a)
-    elif law.kind is LawKind.GAMMA:
-        pos = xs > 0.0
-        xp = xs[pos]
-        out[pos] = np.exp(a * math.log(b) - special.ln_gamma(a)
-                          + (a - 1.0) * np.log(xp) - b * xp)
+    elif law.kind is LawKind.BETA:
+        inside = (xs > 0.0) & (xs < 1.0)
+    else:
+        inside = xs > 0.0
+    out[inside] = _density(law)(xs[inside])
+    if law.kind is LawKind.GAMMA:
         if a == 1.0:
             out[xs == 0.0] = b
         elif a < 1.0:
             out[xs == 0.0] = np.inf
     elif law.kind is LawKind.BETA:
-        lg_a, lg_b, lg_ab = special.ln_gamma(np.array([a, b, a + b]))
-        ln_b = lg_a + lg_b - lg_ab
-        inside = (xs > 0.0) & (xs < 1.0)
-        xp = xs[inside]
-        out[inside] = np.exp((a - 1.0) * np.log(xp)
-                             + (b - 1.0) * np.log1p(-xp) - ln_b)
         for edge, shape in ((0.0, a), (1.0, b)):
             at = xs == edge
             if at.any():
-                out[at] = (np.inf if shape < 1.0
-                           else (math.exp(-ln_b) if shape == 1.0 else 0.0))
-    else:  # Fisher
-        half_a, half_b = 0.5 * a, 0.5 * b
-        lg_a, lg_b, lg_ab = special.ln_gamma(
-            np.array([half_a, half_b, half_a + half_b]))
-        ln_c = half_a * math.log(a / b) - (lg_a + lg_b - lg_ab)
-        pos = xs > 0.0
-        xp = xs[pos]
-        out[pos] = np.exp(ln_c + (half_a - 1.0) * np.log(xp)
-                          - (half_a + half_b) * np.log1p(a * xp / b))
+                out[at] = (np.inf if shape < 1.0 else
+                           (math.exp(-_ln_beta(a, b)) if shape == 1.0
+                            else 0.0))
+    elif law.kind is LawKind.FISHER:
         if a == 2.0:
             out[xs == 0.0] = 1.0
         elif a < 2.0:
             out[xs == 0.0] = np.inf
     return special._finish(out.reshape(raw.shape), scalar)
+
+
+def _density(law: LawSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The density formula of ``law`` with its constants computed once,
+    for a node array strictly inside the open support (the closed one for
+    Uniform).  :func:`pdf` applies it under its support masks; the
+    exact-quadrature sigma applies it to its nodes directly."""
+    a, b = law.p1, law.p2
+    if law.kind is LawKind.UNIFORM:
+        height = 1.0 / (b - a)
+        return lambda x: np.full_like(x, height)
+    if law.kind is LawKind.GAMMA:
+        c0 = a * math.log(b) - special.ln_gamma(a)
+        return lambda x: np.exp(c0 + (a - 1.0) * np.log(x) - b * x)
+    if law.kind is LawKind.BETA:
+        ln_b = _ln_beta(a, b)
+        return lambda x: np.exp((a - 1.0) * np.log(x)
+                                + (b - 1.0) * np.log1p(-x) - ln_b)
+    half_a, half_b = 0.5 * a, 0.5 * b
+    ln_c = half_a * math.log(a / b) - _ln_beta(half_a, half_b)
+    return lambda x: np.exp(ln_c + (half_a - 1.0) * np.log(x)
+                            - (half_a + half_b) * np.log1p(a * x / b))
+
+
+def _ln_beta(p: float, q: float) -> float:
+    """ln B(p, q) = ln G(p) + ln G(q) - ln G(p + q)."""
+    lg_p, lg_q, lg_pq = special.ln_gamma(np.array([p, q, p + q]))
+    return lg_p + lg_q - lg_pq
 
 
 def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:

@@ -34,7 +34,7 @@ from .asymptotics import (CoefficientMode, Covariance2, QuadraticInfluence,
                           plugin_rows, sigma_for)
 from .errors import (DegenerateSampleError, DomainError,
                      InsufficientDataError, MomestError)
-from .estimation import estimate_rows
+from .estimation import _require_finite, estimate_rows
 from .laws import LawSpec, sample_rows
 from .rng import Workspace, _substream_seeds
 from .significance import (_marginal_core, _omnibus_core, _rejects,
@@ -337,19 +337,24 @@ def _rates(law: LawSpec, n: int, a_hat: np.ndarray, b_hat: np.ndarray,
 
 
 def qq_plot_data(values) -> np.ndarray:
-    """Pairs (normal quantile at (i - 1/2)/n, i-th order statistic)."""
-    v = np.sort(np.asarray(values, dtype=float).ravel())
+    """Pairs (normal quantile at (i - 1/2)/n, i-th order statistic).
+    Non-finite values raise :class:`DomainError`."""
+    v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
         raise InsufficientDataError("qq plot needs at least 2 values")
+    _require_finite(v)
+    v = np.sort(v)
     u = (np.arange(1, v.size + 1) - 0.5) / v.size
     return np.column_stack([normal_quantile(u), v])
 
 
 def silverman_bandwidth(values) -> float:
-    """0.9 min(sd, IQR/1.34) n^(-1/5)."""
+    """0.9 min(sd, IQR/1.34) n^(-1/5).  Non-finite values raise
+    :class:`DomainError`."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
         raise InsufficientDataError("bandwidth needs at least 2 values")
+    _require_finite(v)
     sd = float(np.std(v, ddof=1))
     q75, q25 = np.percentile(v, [75.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)
@@ -362,10 +367,12 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
 
     Returns an array of (x, density) rows.  Without an explicit bandwidth
     the Silverman rule is applied; a zero-spread sample then raises.
+    Non-finite values raise :class:`DomainError`.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
         raise InsufficientDataError("density estimate needs >= 2 values")
+    _require_finite(v)
     if not grid_lo < grid_hi:
         raise DomainError(f"need grid_lo < grid_hi, got {grid_lo}, {grid_hi}")
     if grid_points < 2:

@@ -19,7 +19,9 @@ from momest import (CoefficientMode, Covariance2, DomainError,
                     QuadratureError, SigmaMethod, covariance_exact_moments,
                     covariance_exact_quadrature, covariance_plugin,
                     covariance_replication, delta_gradient, estimate,
-                    influence_pair, sample, sigma_for, theoretical_moments)
+                    influence_pair, pdf, quantile, sample, sigma_for,
+                    theoretical_moments)
+from momest import asymptotics, laws
 
 GAMMA23 = LawSpec.gamma(2.0, 3.0)
 
@@ -240,6 +242,57 @@ class TestExactQuadrature:
         quad = sigma_for(SigmaMethod.EXACT_QUADRATURE, law, h, l)
         assert quad.s11 == pytest.approx(ref.s11, rel=1e-3)
         assert quad.s22 == pytest.approx(ref.s22, rel=1e-3)
+
+    @pytest.mark.parametrize("law", [
+        LawSpec.gamma(0.5, 2.0), LawSpec.gamma(1.0, 2.0), GAMMA23,
+        LawSpec.gamma(10.0, 3.0), LawSpec.beta(0.5, 2.0),
+        LawSpec.beta(2.0, 1.0), LawSpec.uniform(-1.0, 2.0),
+        LawSpec.fisher(1.0, 12.0), LawSpec.fisher(2.0, 12.0),
+        LawSpec.fisher(5.0, 12.0)], ids=str)
+    def test_node_density_is_pdf(self, monkeypatch, law):
+        """The density bound once per sigma gives the bits of ``pdf`` on
+        every node the quadrature visits, in the window [Q(eps), Q(1-eps)]
+        and in the upper tail blocks."""
+        nodes = []
+
+        def recording(law):
+            density = laws._density(law)
+
+            def record(x):
+                nodes.append(x.copy())
+                return density(x)
+            return record
+
+        monkeypatch.setattr(asymptotics, "_density", recording)
+        covariance_exact_quadrature(law, *influence_pair(law))
+        hi = quantile(law, 1.0 - asymptotics.TRUNCATION_EPS)
+        assert (max(x.min() for x in nodes) >= hi) == (
+            law.kind in (LawKind.GAMMA, LawKind.FISHER))
+        for x in nodes:
+            assert laws._density(law)(x).tobytes() == pdf(law, x).tobytes()
+
+    @pytest.mark.parametrize("law", [LawSpec.beta(1e9, 1.0),
+                                     LawSpec.gamma(0.01, 1.0)], ids=str)
+    def test_window_on_a_support_edge_keeps_pdf(self, monkeypatch, law):
+        """A quantile rounded onto an edge of the support (Q(1-eps) = 1 for
+        Beta(1e9, 1), Q(eps) = 0 for Gamma(0.01, 1)) puts a node there,
+        where only ``pdf`` knows the density: the outcome is that of
+        ``pdf`` at every node."""
+        h = QuadraticInfluence(1.0, 0.0, 0.0)
+        l = QuadraticInfluence(0.0, 1.0, 0.0)
+
+        def outcome():
+            try:
+                with np.errstate(all="ignore"):
+                    sig = covariance_exact_quadrature(law, h, l)
+                return [v.hex() for v in (sig.s11, sig.s22, sig.s12)]
+            except MomestError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        got = outcome()
+        monkeypatch.setattr(asymptotics, "_density",
+                            lambda law: lambda x: pdf(law, x))
+        assert got == outcome()
 
     def test_method_tags(self):
         h, l = influence_pair(GAMMA23)

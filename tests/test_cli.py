@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import momest
 from momest import LawSpec, SampleParseError, sample
-from momest.cli import (EXIT_INPUT, EXIT_OK, EXIT_REJECT, _number, main,
-                        read_sample)
+from momest.cli import (EXIT_INPUT, EXIT_OK, EXIT_REJECT, _cells, _number,
+                        build_parser, main, read_sample)
 
 
 def run_cli(capsys, *argv):
@@ -368,7 +368,17 @@ class TestReadSample:
     """``read_sample`` pinned to the bits of its values, or to the exact
     message of its first error in file order."""
 
+    #: every line boundary of ``str.splitlines``
+    BOUNDARIES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                  "\x1e", "\x85", "\u2028", "\u2029")
+
     CASES = {
+        **{"comment-ends-at-" + "-".join(f"U+{ord(c):04X}" for c in brk):
+           (f"1.5#c{brk}2.5".encode(), None, [1.5, 2.5])
+           for brk in BOUNDARIES},
+        "csv-hash-stays-in-cell": (b"id,value\n1,1.5\n2,2.5#c\n", "value",
+                                   ":3: could not parse '2.5#c' as a "
+                                   "number"),
         "crlf": (b"1.5\r\n2.5\r\n", None, [1.5, 2.5]),
         "bare-cr": (b"1.5\r2.5\r", None, [1.5, 2.5]),
         "form-feed": (b"1.5\x0c2.5\n", None, [1.5, 2.5]),
@@ -414,6 +424,13 @@ class TestReadSample:
         else:
             assert got == np.array(expected).tobytes()
 
+    def test_comment_between_cr_and_lf_keeps_its_line(self):
+        """A comment removed from between "\\r" and "\\n" does not join them
+        into one line boundary, whatever newline translation the text has
+        been through."""
+        cells, _ = _cells("1\r#c\nx", "sample", None)
+        assert [cell.strip() for cell in cells] == ["1", "", "x"]
+
     @pytest.mark.parametrize("column", [None, "value"])
     def test_separator_padded_cells_need_no_walk(self, tmp_path, monkeypatch,
                                                  column):
@@ -445,7 +462,8 @@ class TestReadSample:
     CELL = st.one_of(FLOAT, FLOAT, FLOAT, INTEGER, INTEGER, NONFINITE, JUNK)
     PAD = st.sampled_from(["", " ", "\t", "\xa0", "\x1f", "\u3000"])
     BREAK = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c",
-                             "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+                             "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                             "\u2029"])
     COMMENT = st.sampled_from(["", "", "# c", "#"])
 
     @settings(max_examples=60, deadline=None)
@@ -673,6 +691,43 @@ class TestSimulate:
             "--replications", "30", "--seed", "2", "--out",
             str(tmp_path / "f2"), "--sigma-methods", "plugin", "replication")
         assert code == EXIT_OK
+
+
+class TestSharedParser:
+    """Every ``main`` call parses with the one parser of the process; no
+    call leaves state in it that shows in a later call's namespace."""
+
+    TEST = ["test", "gamma", "2", "3", "--input", "sample.txt"]
+    SIMULATE = ["simulate", "gamma", "2", "3", "--n", "10", "-B", "5",
+                "--seed", "1"]
+    SEQUENCES = {
+        "test-sigma": [TEST + ["--sigma", "plugin"], TEST],
+        "simulate-methods": [SIMULATE + ["--sigma-methods", "plugin"],
+                             SIMULATE],
+        "coeffs-mode": [["coeffs", "beta", "2", "3", "--mode", "verbatim"],
+                        ["coeffs", "beta", "2", "3"]],
+        "refused-then-valid": [["coeffs", "cauchy", "1", "2"],
+                               ["coeffs", "gamma", "1", "2"]],
+    }
+
+    @staticmethod
+    def parsed(parser, argv, capsys):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().err
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_reuse_matches_fresh_parser(self, capsys, name):
+        got = [self.parsed(build_parser(), argv, capsys)
+               for argv in self.SEQUENCES[name]]
+        assert got == [self.parsed(build_parser.__wrapped__(), argv, capsys)
+                       for argv in self.SEQUENCES[name]]
+        if name == "refused-then-valid":
+            assert got[0][0] == 2
 
 
 class TestEntryPoint:

@@ -272,6 +272,12 @@ class TestQQPlot:
         with pytest.raises(InsufficientDataError):
             qq_plot_data([0.0])
 
+    def test_refuses_non_finite(self):
+        """The index is that of the value given, not of the sorted one."""
+        with pytest.raises(DomainError, match=r"^sample has 2 non-finite "
+                           r"value\(s\), the first at index 2$"):
+            qq_plot_data([3.0, 1.0, float("nan"), -float("inf")])
+
 
 class TestParzen:
     def test_single_kernel_identity(self):
@@ -307,6 +313,19 @@ class TestParzen:
         empty percentile."""
         with pytest.raises(InsufficientDataError, match="at least 2 values"):
             montecarlo.silverman_bandwidth(values)
+
+    def test_bandwidth_refuses_non_finite(self):
+        with pytest.raises(DomainError, match=r"^sample has 1 non-finite "
+                           r"value\(s\), the first at index 1$"):
+            montecarlo.silverman_bandwidth([1.0, float("nan"), 2.0])
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.5])
+    def test_refuses_non_finite(self, bandwidth):
+        """Raised before numpy warns, with or without a bandwidth."""
+        with pytest.raises(DomainError, match=r"^sample has 1 non-finite "
+                           r"value\(s\), the first at index 1$"):
+            parzen_density([1.0, float("inf"), 2.0], 0.0, 1.0, 5,
+                           bandwidth=bandwidth)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
