@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -50,7 +49,7 @@ import numpy as np
 from .errors import (DomainError, InsufficientDataError, MomestError,
                      QuadratureError)
 from .estimation import HALF_WIDTH_FACTOR
-from .laws import (LawKind, LawSpec, _density, pdf, quantile,
+from .laws import (LawKind, LawSpec, _density_over, quantile,
                    theoretical_moments)
 from .rng import Workspace
 from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, _trapezoid_rows
@@ -322,11 +321,7 @@ def _expectations(law: LawSpec, weights: Callable,
     """
     lo = quantile(law, TRUNCATION_EPS)
     hi = quantile(law, 1.0 - TRUNCATION_EPS)
-    # every node lies in [lo, hi] or in a tail block above hi; a quantile
-    # rounded onto an edge of the open support takes pdf's edge values
-    edge = law.kind is not LawKind.UNIFORM and (
-        lo <= 0.0 or (law.kind is LawKind.BETA and hi >= 1.0))
-    density = partial(pdf, law) if edge else _density(law)
+    density = _density_over(law, lo, hi)
 
     def integrand(x):
         w = weights(x)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import os
 import re
@@ -53,18 +52,13 @@ EXIT_INPUT = 2
 EXIT_REJECT = 3
 EXIT_SINGULAR = 4
 
-#: A ``#`` comment up to the end of its line: the class lists exactly the
-#: line boundaries of ``str.splitlines``.  Each comment is replaced by one
-#: space, which the cell's strip removes; deleting it instead would join
-#: a "\r" before it and a "\n" after it into one boundary and shift every
-#: later line number.
+#: A ``#`` comment to the end of its line; the class is exactly the line
+#: boundaries of ``str.splitlines``.  A comment becomes one space, so that
+#: one between "\r" and "\n" does not join them into one boundary.
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of every subcommand, built once per process
-    and shared by every :func:`main` call; callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="momest",
         description="Moment estimation, asymptotic covariances, marginal and "

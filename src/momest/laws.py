@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -128,12 +129,7 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     raw, scalar = special._prepare(x)
     xs = np.atleast_1d(raw)
     out = np.zeros_like(xs)
-    if law.kind is LawKind.UNIFORM:
-        inside = (xs >= a) & (xs <= b)
-    elif law.kind is LawKind.BETA:
-        inside = (xs > 0.0) & (xs < 1.0)
-    else:
-        inside = xs > 0.0
+    inside = _in_support(law, xs)
     out[inside] = _density(law)(xs[inside])
     if law.kind is LawKind.GAMMA:
         if a == 1.0:
@@ -155,11 +151,30 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     return special._finish(out.reshape(raw.shape), scalar)
 
 
+def _in_support(law: LawSpec, xs: np.ndarray) -> np.ndarray:
+    """Mask of the points of ``xs`` where :func:`_density` holds: the
+    closed support of a Uniform law, the open support of the others."""
+    if law.kind is LawKind.UNIFORM:
+        return (xs >= law.p1) & (xs <= law.p2)
+    if law.kind is LawKind.BETA:
+        return (xs > 0.0) & (xs < 1.0)
+    return xs > 0.0
+
+
+def _density_over(law: LawSpec, lo: float,
+                  hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The density of ``law`` for nodes in [lo, hi], and above hi where
+    the support is unbounded above: :func:`_density` when lo and hi both
+    lie where it holds, else :func:`pdf` with its values at the support
+    edges (a quantile may round onto an edge)."""
+    if _in_support(law, np.array([lo, hi])).all():
+        return _density(law)
+    return partial(pdf, law)
+
+
 def _density(law: LawSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The density formula of ``law`` with its constants computed once,
-    for a node array strictly inside the open support (the closed one for
-    Uniform).  :func:`pdf` applies it under its support masks; the
-    exact-quadrature sigma applies it to its nodes directly."""
+    for points where :func:`_in_support` holds."""
     a, b = law.p1, law.p2
     if law.kind is LawKind.UNIFORM:
         height = 1.0 / (b - a)

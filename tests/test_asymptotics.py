@@ -7,6 +7,7 @@ the quartic-moment bilinear form Var(c1 X + c2 X^2) = c1^2 Var X
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -255,15 +256,16 @@ class TestExactQuadrature:
         and in the upper tail blocks."""
         nodes = []
 
-        def recording(law):
-            density = laws._density(law)
+        def recording(law, lo, hi):
+            density = laws._density_over(law, lo, hi)
+            assert not isinstance(density, partial)
 
             def record(x):
                 nodes.append(x.copy())
                 return density(x)
             return record
 
-        monkeypatch.setattr(asymptotics, "_density", recording)
+        monkeypatch.setattr(asymptotics, "_density_over", recording)
         covariance_exact_quadrature(law, *influence_pair(law))
         hi = quantile(law, 1.0 - asymptotics.TRUNCATION_EPS)
         assert (max(x.min() for x in nodes) >= hi) == (
@@ -290,8 +292,8 @@ class TestExactQuadrature:
                 return f"{type(exc).__name__}: {exc}"
 
         got = outcome()
-        monkeypatch.setattr(asymptotics, "_density",
-                            lambda law: lambda x: pdf(law, x))
+        monkeypatch.setattr(asymptotics, "_density_over",
+                            lambda law, lo, hi: partial(pdf, law))
         assert got == outcome()
 
     def test_method_tags(self):

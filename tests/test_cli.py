@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import momest
 from momest import LawSpec, SampleParseError, sample
 from momest.cli import (EXIT_INPUT, EXIT_OK, EXIT_REJECT, _cells, _number,
-                        build_parser, main, read_sample)
+                        main, read_sample)
 
 
 def run_cli(capsys, *argv):
@@ -691,43 +691,6 @@ class TestSimulate:
             "--replications", "30", "--seed", "2", "--out",
             str(tmp_path / "f2"), "--sigma-methods", "plugin", "replication")
         assert code == EXIT_OK
-
-
-class TestSharedParser:
-    """Every ``main`` call parses with the one parser of the process; no
-    call leaves state in it that shows in a later call's namespace."""
-
-    TEST = ["test", "gamma", "2", "3", "--input", "sample.txt"]
-    SIMULATE = ["simulate", "gamma", "2", "3", "--n", "10", "-B", "5",
-                "--seed", "1"]
-    SEQUENCES = {
-        "test-sigma": [TEST + ["--sigma", "plugin"], TEST],
-        "simulate-methods": [SIMULATE + ["--sigma-methods", "plugin"],
-                             SIMULATE],
-        "coeffs-mode": [["coeffs", "beta", "2", "3", "--mode", "verbatim"],
-                        ["coeffs", "beta", "2", "3"]],
-        "refused-then-valid": [["coeffs", "cauchy", "1", "2"],
-                               ["coeffs", "gamma", "1", "2"]],
-    }
-
-    @staticmethod
-    def parsed(parser, argv, capsys):
-        try:
-            return vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            return exc.code, capsys.readouterr().err
-
-    def test_built_once(self):
-        assert build_parser() is build_parser()
-
-    @pytest.mark.parametrize("name", SEQUENCES)
-    def test_reuse_matches_fresh_parser(self, capsys, name):
-        got = [self.parsed(build_parser(), argv, capsys)
-               for argv in self.SEQUENCES[name]]
-        assert got == [self.parsed(build_parser.__wrapped__(), argv, capsys)
-                       for argv in self.SEQUENCES[name]]
-        if name == "refused-then-valid":
-            assert got[0][0] == 2
 
 
 class TestEntryPoint:
