@@ -251,8 +251,10 @@ def _verbatim_coefficients(kind: LawKind, m1: float, m2: float
     mu = m1
     s2 = m2 - m1 * m1
     _need(s2 > 0.0, f"verbatim coefficients require m2 > m1^2, got {s2}")
-    s4 = s2 * s2
     if kind is LawKind.GAMMA:
+        s4 = s2 * s2
+        _need(s4 > 0.0, f"gamma verbatim coefficients: sigma^4 underflows "
+                        f"to 0, sigma^2={s2}")
         # known slip kept on purpose: (sigma^2 + 1) instead of
         # (sigma^2 + mu^2), and (sigma^2 + 2 mu) instead of
         # (sigma^2 + 2 mu^2)

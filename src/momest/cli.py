@@ -30,6 +30,7 @@ import io
 import os
 import re
 import sys
+import warnings
 from dataclasses import asdict
 from math import isfinite
 from pathlib import Path
@@ -125,29 +126,86 @@ def build_parser() -> argparse.ArgumentParser:
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     """One value per line, or the ``column`` of a headered CSV.
 
-    The stripped cells that are not blank go through ``float`` in one
-    pass, and the values are checked for finiteness once.  If ``float``
-    refuses a cell, a value is not finite, or the CSV reader fails, the
-    text is walked again cell by cell in file order through
-    :func:`_walk_cells`, so the first bad cell raises its own message with
-    its line.
+    The values come from the first of three passes that accepts the file:
+
+    1. a CSV file that :func:`_column_in_c` can read gives its column
+       through numpy's C text reader in one call;
+    2. otherwise the stripped cells that are not blank go through
+       ``float`` in one Python pass;
+    3. if the first pass that ran refuses a cell, a value is not finite,
+       or the CSV reader fails, the text is walked again cell by cell in
+       file order through :func:`_walk_cells`, so the first bad cell
+       raises its own message with its line.
+
+    Both readers parse a cell with CPython's correctly rounded
+    ``PyOS_string_to_double``, so passes 1 and 2 give the same bits.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
-    cells, _ = _cells(text, path, column)
-    stripped = filter(None, map(str.strip, cells))
-    try:
-        values = np.array(list(map(float, stripped)))
-        parsed = np.isfinite(values).all()
-    except (ValueError, csv.Error):
-        parsed = False
-    if not parsed:
+    values = None if column is None else _column_in_c(text, path, column)
+    if values is None:
+        cells, _ = _cells(text, path, column)
+        stripped = filter(None, map(str.strip, cells))
+        try:
+            values = np.array(list(map(float, stripped)))
+        except (ValueError, csv.Error):
+            values = None
+    if values is None or not np.isfinite(values).all():
         _walk_cells(text, path, column)
     if not values.size:
         raise SampleParseError(f"{path}: no values found")
     return values
+
+
+def _column_in_c(text: str, path: str, column: str) -> Optional[np.ndarray]:
+    """The CSV ``column`` parsed by ``np.loadtxt``, or None where the
+    Python pass must read it.
+
+    ``loadtxt`` runs only where ``csv.reader`` would split each line into
+    the same cells: the text holds no quote (so no cell spans lines) and
+    no NUL, and no line is longer than ``csv.field_size_limit()``, which
+    ``csv.reader`` enforces on every cell, read or not.  It raises
+    ``ValueError`` on a short row, a blank cell, a whitespace-only line, a
+    bare ``"\r"`` or a cell ``float`` alone accepts (``1_000``, non-ASCII
+    digits), and the Python pass then decides.  ``comments=None`` keeps a
+    ``#`` inside its cell.  The header is checked by :func:`_column_index`
+    on the first line, which is the first row ``csv.reader`` yields.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    index = _column_index(csv.reader(io.StringIO(text[:len(lines[0]) + 1])),
+                          path, column)
+    try:
+        with warnings.catch_warnings():
+            # a header-only file; the caller raises "no values found"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            return np.loadtxt(lines[1:], delimiter=",", usecols=index,
+                              comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _column_index(reader, path: str, column: str) -> int:
+    """The index of ``column`` in the header, the first row of ``reader``;
+    a header that is missing, unreadable, or lacks or repeats the column
+    is refused."""
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise SampleParseError(f"{path}:{reader.line_num}: {exc}")
+    if header is None or column not in header:
+        raise SampleParseError(
+            f"{path}: no CSV column named {column!r} (found {header})")
+    if header.count(column) > 1:
+        raise SampleParseError(
+            f"{path}: CSV column {column!r} is named more than once")
+    return header.index(column)
 
 
 def _cells(text: str, path: str, column: Optional[str]):
@@ -161,17 +219,7 @@ def _cells(text: str, path: str, column: Optional[str]):
     if column is None:
         return _COMMENT.sub(" ", text).splitlines(), None
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise SampleParseError(f"{path}:{reader.line_num}: {exc}")
-    if header is None or column not in header:
-        raise SampleParseError(
-            f"{path}: no CSV column named {column!r} (found {header})")
-    if header.count(column) > 1:
-        raise SampleParseError(
-            f"{path}: CSV column {column!r} is named more than once")
-    index = header.index(column)
+    index = _column_index(reader, path, column)
     return (row[index] for row in reader if index < len(row)), reader
 
 

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,16 @@ class TestCoeffs:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["canonical", "verbatim"])
+    def test_variance_square_underflow_exit_input(self, capsys, mode):
+        """Gamma(1e-202, 2) has variance 2.5e-203, whose square is 0."""
+        code, out, err = run_cli(capsys, "coeffs", "gamma", "1e-202", "2",
+                                 "--mode", mode)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: gamma ") and err.count("\n") == 1
+        assert "underflows to 0" in err
 
 
 class TestEstimate:
@@ -243,7 +254,8 @@ class TestOversizedCsvCell:
     @pytest.mark.parametrize("lines, lineno", [
         (["id,value", "1,0.5", "2,{big}", "3,0.75"], 3),
         (["id,value{big}", "1,0.5"], 1),
-    ], ids=["row", "header"])
+        (["id,value", "1,0.5", "{big},0.25"], 3),
+    ], ids=["row", "header", "unread-column"])
     def test_exit_input_with_line(self, capsys, tmp_path, command, lines,
                                   lineno):
         big = "9" * (csv.field_size_limit() + 1)
@@ -411,6 +423,15 @@ class TestReadSample:
                                  ":2: 'Infinity' is not a finite number"),
         "csv-parse-before-nan": (b"id,value\n1,1..5\n2,nan\n", "value",
                                  ":2: could not parse '1..5' as a number"),
+        "csv-quoted-header": (b'"id","value"\n1,1.5\n2,-2e-3\n', "value",
+                              [1.5, -2e-3]),
+        "csv-quoted-comma-keeps-columns": (b'a,b,value\n"1,2",3.5,4.5\n'
+                                           b"3,4,5\n", "value", [4.5, 5.0]),
+        "csv-row-longer-than-header": (b"id,value\n1,1.5,9\n2,2.5,x,y\n",
+                                       "value", [1.5, 2.5]),
+        "csv-header-only": (b"id,value\n", "value", ": no values found"),
+        "csv-nul-in-cell": (b"id,value\n1,1.5\n2,2\x005\n", "value",
+                            ":3: could not parse '2\\x005' as a number"),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -423,6 +444,35 @@ class TestReadSample:
             assert got == f"{path}{expected}"
         else:
             assert got == np.array(expected).tobytes()
+
+    def test_header_only_csv_prints_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,value\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "gamma", "--input",
+                                     str(path), "--column", "value")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {path}: no values found\n"
+        assert caught == []
+
+    def test_unquoted_csv_read_in_one_c_call(self, tmp_path, monkeypatch):
+        """An unquoted CSV column does not go through the Python pass, and
+        its values have the bits ``float`` gives each cell."""
+        def python_pass(*args):
+            raise AssertionError("read an unquoted CSV in the Python pass")
+
+        monkeypatch.setattr(momest.cli, "_cells", python_pass)
+        cells = [f"{(k - 1000) * 0.7310585786300049:.22g}e{k % 41 - 20}"
+                 for k in range(2000)]
+        path = tmp_path / "sample.csv"
+        path.write_text("id,value,note\n" + "".join(
+            f"{k},{cell},n{k}\r\n" for k, cell in enumerate(cells)),
+            encoding="utf-8")
+        got = read_sample(str(path), "value")
+        want = np.array([float(cell) for cell in cells])
+        assert got.tobytes() == want.tobytes()
 
     def test_comment_between_cr_and_lf_keeps_its_line(self):
         """A comment removed from between "\\r" and "\\n" does not join them
@@ -561,6 +611,17 @@ class TestTestCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "fisher(5, 8.1)" in err and "use exact-moments" in err
+
+    @pytest.mark.parametrize("mode", ["canonical", "verbatim"])
+    def test_variance_square_underflow_exit_input(self, capsys, tmp_path,
+                                                  mode):
+        path = write_sample(tmp_path, [1.0, 2.0, 3.0])
+        code, out, err = run_cli(capsys, "test", "gamma", "1e-202", "2",
+                                 "--input", path, "--mode", mode)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: gamma ") and err.count("\n") == 1
+        assert "underflows to 0" in err
 
     def test_replication_sigma_rejected_for_single_sample(self, capsys,
                                                           tmp_path):
