@@ -20,8 +20,8 @@ Coefficient modes:
   2 mu (sigma^2 + 1) / sigma^4 where the true gradient has
   2 mu (sigma^2 + mu^2) / sigma^4 -- and for the Fisher H the normalizing
   denominator is likewise off; both are kept exactly as printed on purpose.
-  The printed Beta and Uniform coefficients are the canonical gradient, so
-  verbatim mode returns :func:`delta_gradient` for those two laws.
+  The printed Beta and Uniform coefficients are the canonical gradient: a
+  law record without verbatim coefficients uses its gradient.
 
 The four covariance routes:
 
@@ -48,9 +48,8 @@ import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, MomestError,
                      QuadratureError)
-from .estimation import HALF_WIDTH_FACTOR
-from .laws import (LawKind, LawSpec, _density_over, quantile,
-                   theoretical_moments)
+from .laws import (LawKind, LawSpec, _density_over, _family, _need,
+                   quantile, theoretical_moments)
 from .rng import Workspace
 from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, _trapezoid_rows
 
@@ -184,46 +183,7 @@ def delta_gradient(kind: LawKind, m1: float, m2: float
                    ) -> Tuple[float, float, float, float]:
     """Exact partial derivatives (da/dm1, da/dm2, db/dm1, db/dm2) of the
     estimator map at raw moments (m1, m2)."""
-    d = m2 - m1 * m1
-    if kind is LawKind.GAMMA:
-        _need(d > 0.0, f"gamma gradient requires m2 > m1^2, got d={d}")
-        d2 = d * d
-        _need(d2 > 0.0, f"gamma gradient: d^2 underflows to 0, d={d}")
-        return (2.0 * m1 * m2 / d2, -m1 * m1 / d2,
-                (m2 + m1 * m1) / d2, -m1 / d2)
-    if kind is LawKind.BETA:
-        _need(d > 0.0, f"beta gradient requires m2 > m1^2, got d={d}")
-        _need(m1 - m2 > 0.0,
-              f"beta gradient requires m1 > m2, got m1-m2={m1 - m2}")
-        _need(m1 < 1.0, f"beta gradient requires m1 < 1, got {m1}")
-        na = m1 * (m1 - m2)
-        nb = (1.0 - m1) * (m1 - m2)
-        d2 = d * d
-        _need(d2 > 0.0, f"beta gradient: d^2 underflows to 0, d={d}")
-        return (((2.0 * m1 - m2) * d + 2.0 * m1 * na) / d2,
-                (-m1 * d - na) / d2,
-                ((1.0 - 2.0 * m1 + m2) * d + 2.0 * m1 * nb) / d2,
-                ((m1 - 1.0) * d - nb) / d2)
-    if kind is LawKind.UNIFORM:
-        _need(d > 0.0, f"uniform gradient requires m2 > m1^2, got d={d}")
-        s = math.sqrt(d)
-        lam = HALF_WIDTH_FACTOR
-        return (1.0 + lam * m1 / s, -lam / (2.0 * s),
-                1.0 - lam * m1 / s, lam / (2.0 * s))
-    # Fisher
-    _need(m1 > 1.0, f"fisher gradient requires m1 > 1, got {m1}")
-    alpha = (2.0 - m1) * m2 - m1 * m1
-    _need(alpha > 0.0,
-          f"fisher gradient requires (2-m1) m2 - m1^2 > 0, got {alpha}")
-    a2 = alpha * alpha
-    return ((4.0 * m1 * alpha + 2.0 * m1 * m1 * (m2 + 2.0 * m1)) / a2,
-            -2.0 * m1 * m1 * (2.0 - m1) / a2,
-            -2.0 / (m1 - 1.0) ** 2, 0.0)
-
-
-def _need(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
+    return _family(kind).gradient(m1, m2, m2 - m1 * m1)
 
 
 def influence_pair(
@@ -234,40 +194,17 @@ def influence_pair(
     mom = theoretical_moments(law)
     m1 = mom.require(1)
     m2 = mom.require(2)
-    if mode is CoefficientMode.CANONICAL:
+    verbatim = _family(law.kind).verbatim
+    if mode is CoefficientMode.CANONICAL or verbatim is None:
         da1, da2, db1, db2 = delta_gradient(law.kind, m1, m2)
     else:
-        da1, da2, db1, db2 = _verbatim_coefficients(law.kind, m1, m2)
+        s2 = m2 - m1 * m1
+        _need(s2 > 0.0, f"verbatim coefficients require m2 > m1^2, got {s2}")
+        da1, da2, db1, db2 = verbatim(m1, s2)
     return (
         QuadraticInfluence(da1, da2, center=da1 * m1 + da2 * m2),
         QuadraticInfluence(db1, db2, center=db1 * m1 + db2 * m2),
     )
-
-
-def _verbatim_coefficients(kind: LawKind, m1: float, m2: float
-                           ) -> Tuple[float, float, float, float]:
-    if kind in (LawKind.BETA, LawKind.UNIFORM):
-        return delta_gradient(kind, m1, m2)
-    mu = m1
-    s2 = m2 - m1 * m1
-    _need(s2 > 0.0, f"verbatim coefficients require m2 > m1^2, got {s2}")
-    if kind is LawKind.GAMMA:
-        s4 = s2 * s2
-        _need(s4 > 0.0, f"gamma verbatim coefficients: sigma^4 underflows "
-                        f"to 0, sigma^2={s2}")
-        # known slip kept on purpose: (sigma^2 + 1) instead of
-        # (sigma^2 + mu^2), and (sigma^2 + 2 mu) instead of
-        # (sigma^2 + 2 mu^2)
-        return (2.0 * mu * (s2 + 1.0) / s4, -mu * mu / s4,
-                (s2 + 2.0 * mu) / s4, -mu / s4)
-    # Fisher: the printed normalizer, which differs from the true
-    # denominator (2 - mu) sigma^2 - mu^2 (mu - 1) of the gradient
-    _need(mu > 1.0, f"fisher coefficients require m1 > 1, got {mu}")
-    beta = s2 + 2.0 * mu * (2.0 - mu) - mu * (3.0 * mu - 2.0)
-    _need(beta != 0.0, "fisher verbatim normalizer vanished")
-    return (2.0 * mu * (2.0 - mu) / beta,
-            -2.0 * mu * mu * (2.0 - mu) / (beta * beta),
-            -2.0 / (mu - 1.0) ** 2, 0.0)
 
 
 def _required_moments(law: LawSpec, h: QuadraticInfluence,
@@ -331,7 +268,7 @@ def _expectations(law: LawSpec, weights: Callable,
         return w
 
     total, tol = _trapezoid_rows(integrand, lo, hi, None, cfg)
-    if law.kind in (LawKind.GAMMA, LawKind.FISHER):
+    if _family(law.kind).unbounded_above:
         quiet = np.zeros(total.size, dtype=int)
         x0 = hi
         for _ in range(TAIL_BLOCKS):
@@ -363,10 +300,7 @@ def covariance_exact_quadrature(
     integral over the truncated support.  Beta laws with b < 1, whose
     density is unbounded at x = 1, are refused: the rule cannot integrate
     that endpoint."""
-    if law.kind is LawKind.BETA and law.p2 < 1.0:
-        raise DomainError(
-            f"exact-quadrature sigma needs a density bounded at x = 1, but "
-            f"{law} has b = {law.p2:g} < 1; use exact-moments")
+    _family(law.kind).check_quadrature(law)
     _required_moments(law, h, l)  # integrability guard
 
     def weights(x):

@@ -1,20 +1,11 @@
 """Empirical moments and the closed-form moment estimators (a_hat, b_hat).
 
-Estimator maps, with Xbar the sample mean, M2 the mean of squares and
-S2 the unbiased variance (divisor n-1):
-
-* Gamma:   (Xbar^2 / S2, Xbar / S2)
-* Beta:    (Xbar (Xbar - M2) / V, (1 - Xbar)(Xbar - M2) / V) with the
-           *biased* variance V = M2 - Xbar^2 in the denominator
-* Uniform: Xbar -/+ sqrt(3) * sqrt(S2)
-* Fisher:  (2 Xbar^2 / (S2 (2 - Xbar) - Xbar^2 (Xbar - 1)),
-            2 Xbar / (Xbar - 1))
-
-Each map is only defined under the positivity conditions checked in
-:func:`estimate`; violations raise typed errors naming the condition so that
-the Monte-Carlo harness can count infeasible replications.  The conditions
-and the maps are written once and evaluate on floats and on arrays alike:
-:func:`estimate_rows` applies them to every row of a sample block at once.
+The estimator map of each law and its preconditions are written once, in
+that law's record in :mod:`momest.laws`, and evaluate on floats and on
+arrays alike: :func:`estimate` applies them to one sample's moments and
+:func:`estimate_rows` to every row of a sample block at once.
+Violations raise typed errors naming the condition so that the
+Monte-Carlo harness can count infeasible replications.
 """
 
 from __future__ import annotations
@@ -24,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSampleError, DomainError,
-                     InfeasibleMomentError, InsufficientDataError)
-from .laws import LawKind
+from .errors import DomainError, InsufficientDataError
+from .laws import LawKind, _family
 
 __all__ = [
     "EmpiricalMoments",
@@ -35,10 +25,6 @@ __all__ = [
     "estimate",
     "estimate_rows",
 ]
-
-#: sqrt(12)/2, the half-width of a uniform law per standard deviation.
-HALF_WIDTH_FACTOR = math.sqrt(3.0)
-
 
 @dataclass(frozen=True)
 class EmpiricalMoments:
@@ -114,63 +100,14 @@ def _derived(mean, var_biased, n: int):
     return var_biased + mean * mean, var_biased * n / (n - 1)
 
 
-def _fisher_denominator(mean, s2):
-    return s2 * (2.0 - mean) - mean * mean * (mean - 1.0)
-
-
-def _conditions(kind: LawKind, mean, msq, s2, vb) -> list:
-    """Preconditions of the estimator map of ``kind`` in the order
-    :func:`estimate` tests them, as (holds, error class, message, value):
-    ``message`` names the condition and takes the offending ``value``."""
-    if kind is LawKind.GAMMA:
-        return [(s2 > 0.0, DegenerateSampleError,
-                 "gamma estimator requires S^2 > 0, got S^2={}", s2)]
-    if kind is LawKind.BETA:
-        return [
-            (vb > 0.0, DegenerateSampleError,
-             "beta estimator requires a positive biased variance, got {}",
-             vb),
-            (mean - msq > 0.0, DegenerateSampleError,
-             "beta estimator requires mean - mean_sq > 0, got {}",
-             mean - msq),
-            (mean < 1.0, DegenerateSampleError,
-             "beta estimator requires mean < 1, got {}", mean),
-        ]
-    if kind is LawKind.UNIFORM:
-        # cannot fail with empirical moments, kept as a guard
-        return [(np.logical_not(s2 < 0.0), DegenerateSampleError,
-                 "negative variance {}", s2)]
-    denom = _fisher_denominator(mean, s2)
-    return [
-        (mean > 1.0, InfeasibleMomentError,
-         "fisher estimator requires mean > 1, got {}", mean),
-        (denom > 0.0, DegenerateSampleError,
-         "fisher estimator requires S^2 (2 - mean) - mean^2 (mean - 1) "
-         "> 0, got {}", denom),
-    ]
-
-
-def _estimator_map(kind: LawKind, mean, msq, s2, vb) -> tuple:
-    """(a_hat, b_hat) where the conditions of ``kind`` hold."""
-    if kind is LawKind.GAMMA:
-        return mean * mean / s2, mean / s2
-    if kind is LawKind.BETA:
-        common = (mean - msq) / vb
-        return mean * common, (1.0 - mean) * common
-    if kind is LawKind.UNIFORM:
-        half = HALF_WIDTH_FACTOR * np.sqrt(s2)
-        return mean - half, mean + half
-    return (2.0 * mean * mean / _fisher_denominator(mean, s2),
-            2.0 * mean / (mean - 1.0))
-
-
 def estimate(kind: LawKind, em: EmpiricalMoments) -> ParamEstimate:
     """Closed-form moment estimates for ``kind`` from empirical moments."""
+    family = _family(kind)
     terms = (em.mean, em.mean_sq, em.var_unbiased, em.var_biased)
-    for holds, error, message, value in _conditions(kind, *terms):
+    for holds, error, message, value in family.conditions(*terms):
         if not holds:
             raise error(message.format(value))
-    a_hat, b_hat = _estimator_map(kind, *terms)
+    a_hat, b_hat = family.estimator(*terms)
     return ParamEstimate(kind, float(a_hat), float(b_hat), em.n)
 
 
@@ -181,6 +118,7 @@ def estimate_rows(kind: LawKind, x) -> tuple:
     :func:`estimate` succeeds, and a_hat/b_hat hold those rows' estimates
     in row order, bit for bit ``estimate(kind, empirical_moments(row))``.
     """
+    family = _family(kind)
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
     if n < 2:
@@ -188,11 +126,11 @@ def estimate_rows(kind: LawKind, x) -> tuple:
             f"need at least 2 observations, got {n}")
     mean, var_biased = _row_moments(x)
     terms = (mean, *_derived(mean, var_biased, n), var_biased)
-    checks = _conditions(kind, *terms)
+    checks = family.conditions(*terms)
     feasible = checks[0][0]
     for holds, *_ in checks[1:]:
         feasible = feasible & holds
     if not feasible.all():
         terms = tuple(t[feasible] for t in terms)
-    a_hat, b_hat = _estimator_map(kind, *terms)
+    a_hat, b_hat = family.estimator(*terms)
     return a_hat, b_hat, feasible

@@ -1,5 +1,5 @@
-"""The four parametric laws: densities, cdfs, quantiles, sampling and
-closed-form moments.
+"""The four parametric laws: densities, cdfs, quantiles, sampling,
+closed-form moments and the moment estimators' maps.
 
 Parameterizations:
 
@@ -10,6 +10,28 @@ Parameterizations:
 * Fisher(a, b): degrees of freedom a, b > 0, the ratio (Z1/a)/(Z2/b) of two
   independent chi-squares.  The density is the standard F density; the k-th
   moment exists only for b > 2k.
+
+Estimator maps, with Xbar the sample mean, M2 the mean of squares and
+S2 the unbiased variance (divisor n-1):
+
+* Gamma:   (Xbar^2 / S2, Xbar / S2)
+* Beta:    (Xbar (Xbar - M2) / V, (1 - Xbar)(Xbar - M2) / V) with the
+           *biased* variance V = M2 - Xbar^2 in the denominator
+* Uniform: Xbar -/+ sqrt(3) * sqrt(S2)
+* Fisher:  (2 Xbar^2 / (S2 (2 - Xbar) - Xbar^2 (Xbar - 1)),
+            2 Xbar / (Xbar - 1))
+
+Each map is only defined under positivity conditions; violations raise
+typed errors naming the condition so that the Monte-Carlo harness can count
+infeasible replications.  The conditions and the maps evaluate on floats and
+on arrays alike.
+
+Everything that differs from law to law lives in one private record per
+law, a :class:`_Family` found by :func:`_family`: support, density, cdf,
+quantile and sampler; moments; estimator conditions and map; the map's
+delta-method gradient and the verbatim coefficients; and the laws the
+exact-quadrature route refuses.  :mod:`momest.estimation` and
+:mod:`momest.asymptotics` reach a law only through that lookup.
 """
 
 from __future__ import annotations
@@ -23,7 +45,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import special
-from .errors import DomainError, MomentDomainError
+from .errors import (DegenerateSampleError, DomainError,
+                     InfeasibleMomentError, MomentDomainError)
 from .rng import RowStreams, Workspace
 
 __all__ = [
@@ -41,6 +64,9 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 _ORDINALS = {1: "first", 2: "second", 3: "third", 4: "fourth"}
+
+#: sqrt(12)/2, the half-width of a uniform law per standard deviation.
+HALF_WIDTH_FACTOR = math.sqrt(3.0)
 
 
 class LawKind(str, Enum):
@@ -67,6 +93,7 @@ class LawSpec:
     p2: float
 
     def __post_init__(self) -> None:
+        _family(self.kind)
         a, b = self.p1, self.p2
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"parameters must be finite, got ({a}, {b})")
@@ -123,73 +150,9 @@ class MomentSet:
         return value
 
 
-def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
-    """Density of ``law`` at ``x``; zero outside the support."""
-    a, b = law.p1, law.p2
-    raw, scalar = special._prepare(x)
-    xs = np.atleast_1d(raw)
-    out = np.zeros_like(xs)
-    inside = _in_support(law, xs)
-    out[inside] = _density(law)(xs[inside])
-    if law.kind is LawKind.GAMMA:
-        if a == 1.0:
-            out[xs == 0.0] = b
-        elif a < 1.0:
-            out[xs == 0.0] = np.inf
-    elif law.kind is LawKind.BETA:
-        for edge, shape in ((0.0, a), (1.0, b)):
-            at = xs == edge
-            if at.any():
-                out[at] = (np.inf if shape < 1.0 else
-                           (math.exp(-_ln_beta(a, b)) if shape == 1.0
-                            else 0.0))
-    elif law.kind is LawKind.FISHER:
-        if a == 2.0:
-            out[xs == 0.0] = 1.0
-        elif a < 2.0:
-            out[xs == 0.0] = np.inf
-    return special._finish(out.reshape(raw.shape), scalar)
-
-
-def _in_support(law: LawSpec, xs: np.ndarray) -> np.ndarray:
-    """Mask of the points of ``xs`` where :func:`_density` holds: the
-    closed support of a Uniform law, the open support of the others."""
-    if law.kind is LawKind.UNIFORM:
-        return (xs >= law.p1) & (xs <= law.p2)
-    if law.kind is LawKind.BETA:
-        return (xs > 0.0) & (xs < 1.0)
-    return xs > 0.0
-
-
-def _density_over(law: LawSpec, lo: float,
-                  hi: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The density of ``law`` for nodes in [lo, hi], and above hi where
-    the support is unbounded above: :func:`_density` when lo and hi both
-    lie where it holds, else :func:`pdf` with its values at the support
-    edges (a quantile may round onto an edge)."""
-    if _in_support(law, np.array([lo, hi])).all():
-        return _density(law)
-    return partial(pdf, law)
-
-
-def _density(law: LawSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The density formula of ``law`` with its constants computed once,
-    for points where :func:`_in_support` holds."""
-    a, b = law.p1, law.p2
-    if law.kind is LawKind.UNIFORM:
-        height = 1.0 / (b - a)
-        return lambda x: np.full_like(x, height)
-    if law.kind is LawKind.GAMMA:
-        c0 = a * math.log(b) - special.ln_gamma(a)
-        return lambda x: np.exp(c0 + (a - 1.0) * np.log(x) - b * x)
-    if law.kind is LawKind.BETA:
-        ln_b = _ln_beta(a, b)
-        return lambda x: np.exp((a - 1.0) * np.log(x)
-                                + (b - 1.0) * np.log1p(-x) - ln_b)
-    half_a, half_b = 0.5 * a, 0.5 * b
-    ln_c = half_a * math.log(a / b) - _ln_beta(half_a, half_b)
-    return lambda x: np.exp(ln_c + (half_a - 1.0) * np.log(x)
-                            - (half_a + half_b) * np.log1p(a * x / b))
+def _need(cond: bool, message: str) -> None:
+    if not cond:
+        raise DomainError(message)
 
 
 def _ln_beta(p: float, q: float) -> float:
@@ -198,38 +161,362 @@ def _ln_beta(p: float, q: float) -> float:
     return lg_p + lg_q - lg_pq
 
 
-def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
-    """Cumulative distribution function of ``law`` at ``x``."""
-    a, b = law.p1, law.p2
-    xs, scalar = special._prepare(x)
-    if law.kind is LawKind.UNIFORM:
-        out = np.clip((xs - a) / (b - a), 0.0, 1.0)
-    elif law.kind is LawKind.GAMMA:
-        out = np.asarray(special.reg_inc_gamma(a, np.maximum(xs, 0.0) * b))
-    elif law.kind is LawKind.BETA:
-        out = np.asarray(special.reg_inc_beta(a, b, np.clip(xs, 0.0, 1.0)))
-    else:  # Fisher
+class _Family:
+    """The formulas of one law.  The defaults here are those of a law
+    supported on (0, inf); each subclass defines, for parameters (a, b):
+
+    * ``density(a, b)``: the density for points in :meth:`support`, its
+      constants computed once; ``cdf(a, b, xs)``, ``quantile(a, b, us)``
+      and ``draw(a, b, streams, workspace, n)``, the sampler;
+    * ``raw_moment(a, b, k)`` and ``variance(a, b)``, ``None`` where the
+      moment does not exist;
+    * ``conditions(mean, msq, s2, vb)``: the estimator map's preconditions
+      in the order :func:`momest.estimation.estimate` tests them, as
+      (holds, error class, message, value), ``message`` naming the
+      condition and taking the offending ``value``; and
+      ``estimator(mean, msq, s2, vb)``, the map where they hold;
+    * ``gradient(m1, m2, d)``: (da/dm1, da/dm2, db/dm1, db/dm2) of the
+      map at raw moments (m1, m2), with d = m2 - m1^2.
+    """
+
+    #: The support is unbounded above: exact quadrature extends its window
+    #: by tail blocks.
+    unbounded_above = True
+    #: Existence condition of the k-th moment, formatted with bound = 2k.
+    moment_constraint = ""
+    #: (mu, sigma^2) -> the historical printed coefficients, for laws
+    #: whose printed coefficients are not the canonical gradient.
+    verbatim = None
+
+    def support(self, a, b, xs: np.ndarray) -> np.ndarray:
+        """Mask of the points of ``xs`` where :meth:`density` holds: the
+        closed support of a Uniform law, the open support of the others."""
+        return xs > 0.0
+
+    def at_edges(self, a, b, xs: np.ndarray, out: np.ndarray) -> None:
+        """Writes into ``out`` the pdf at the points of ``xs`` on an edge
+        of the support, where :meth:`density` does not hold."""
+
+    def check_quadrature(self, law: LawSpec) -> None:
+        """Refuses a law whose density the exact-quadrature rule cannot
+        integrate."""
+
+
+class _Gamma(_Family):
+    def at_edges(self, a, b, xs, out):
+        if a == 1.0:
+            out[xs == 0.0] = b
+        elif a < 1.0:
+            out[xs == 0.0] = np.inf
+
+    def density(self, a, b):
+        c0 = a * math.log(b) - special.ln_gamma(a)
+        return lambda x: np.exp(c0 + (a - 1.0) * np.log(x) - b * x)
+
+    def cdf(self, a, b, xs):
+        return np.asarray(special.reg_inc_gamma(a, np.maximum(xs, 0.0) * b))
+
+    def quantile(self, a, b, us):
+        return np.asarray(special.reg_inc_gamma_inv(a, us)) / b
+
+    def draw(self, a, b, streams, ws, n):
+        x = streams.gammas(a, n)
+        x /= b
+        return x
+
+    def raw_moment(self, a, b, k):
+        return a / b ** k * math.prod(a + j for j in range(1, k))
+
+    def variance(self, a, b):
+        return a / b ** 2
+
+    def conditions(self, mean, msq, s2, vb):
+        return [(s2 > 0.0, DegenerateSampleError,
+                 "gamma estimator requires S^2 > 0, got S^2={}", s2)]
+
+    def estimator(self, mean, msq, s2, vb):
+        return mean * mean / s2, mean / s2
+
+    def gradient(self, m1, m2, d):
+        _need(d > 0.0, f"gamma gradient requires m2 > m1^2, got d={d}")
+        d2 = d * d
+        _need(d2 > 0.0, f"gamma gradient: d^2 underflows to 0, d={d}")
+        return (2.0 * m1 * m2 / d2, -m1 * m1 / d2,
+                (m2 + m1 * m1) / d2, -m1 / d2)
+
+    def verbatim(self, mu, s2):
+        s4 = s2 * s2
+        _need(s4 > 0.0, f"gamma verbatim coefficients: sigma^4 underflows "
+                        f"to 0, sigma^2={s2}")
+        # known slip kept on purpose: (sigma^2 + 1) instead of
+        # (sigma^2 + mu^2), and (sigma^2 + 2 mu) instead of
+        # (sigma^2 + 2 mu^2)
+        return (2.0 * mu * (s2 + 1.0) / s4, -mu * mu / s4,
+                (s2 + 2.0 * mu) / s4, -mu / s4)
+
+
+class _Beta(_Family):
+    unbounded_above = False
+
+    def support(self, a, b, xs):
+        return (xs > 0.0) & (xs < 1.0)
+
+    def at_edges(self, a, b, xs, out):
+        for edge, shape in ((0.0, a), (1.0, b)):
+            if shape == 1.0:
+                out[xs == edge] = math.exp(-_ln_beta(a, b))
+            elif shape < 1.0:
+                out[xs == edge] = np.inf
+
+    def density(self, a, b):
+        ln_b = _ln_beta(a, b)
+        return lambda x: np.exp((a - 1.0) * np.log(x)
+                                + (b - 1.0) * np.log1p(-x) - ln_b)
+
+    def cdf(self, a, b, xs):
+        return np.asarray(special.reg_inc_beta(a, b, np.clip(xs, 0.0, 1.0)))
+
+    def quantile(self, a, b, us):
+        return np.asarray(special.reg_inc_beta_inv(a, b, us))
+
+    def draw(self, a, b, streams, ws, n):
+        # the first gamma batch is drawn into the array returned, the
+        # second into the workspace
+        x = streams.gammas(a, n)
+        g2 = streams.gammas(b, n, ws.take("batch", x.shape))
+        g2 += x
+        x /= g2
+        return x
+
+    def raw_moment(self, a, b, k):
+        return math.prod((a + j) / (a + b + j) for j in range(k))
+
+    def variance(self, a, b):
+        return a * b / ((a + b) ** 2 * (a + b + 1.0))
+
+    def conditions(self, mean, msq, s2, vb):
+        return [
+            (vb > 0.0, DegenerateSampleError,
+             "beta estimator requires a positive biased variance, got {}",
+             vb),
+            (mean - msq > 0.0, DegenerateSampleError,
+             "beta estimator requires mean - mean_sq > 0, got {}",
+             mean - msq),
+            (mean < 1.0, DegenerateSampleError,
+             "beta estimator requires mean < 1, got {}", mean),
+        ]
+
+    def estimator(self, mean, msq, s2, vb):
+        common = (mean - msq) / vb
+        return mean * common, (1.0 - mean) * common
+
+    def gradient(self, m1, m2, d):
+        _need(d > 0.0, f"beta gradient requires m2 > m1^2, got d={d}")
+        _need(m1 - m2 > 0.0,
+              f"beta gradient requires m1 > m2, got m1-m2={m1 - m2}")
+        _need(m1 < 1.0, f"beta gradient requires m1 < 1, got {m1}")
+        na = m1 * (m1 - m2)
+        nb = (1.0 - m1) * (m1 - m2)
+        d2 = d * d
+        _need(d2 > 0.0, f"beta gradient: d^2 underflows to 0, d={d}")
+        return (((2.0 * m1 - m2) * d + 2.0 * m1 * na) / d2,
+                (-m1 * d - na) / d2,
+                ((1.0 - 2.0 * m1 + m2) * d + 2.0 * m1 * nb) / d2,
+                ((m1 - 1.0) * d - nb) / d2)
+
+    def check_quadrature(self, law):
+        """b < 1 makes the density unbounded at x = 1, an endpoint the
+        trapezoid rule cannot integrate."""
+        if law.p2 < 1.0:
+            raise DomainError(
+                f"exact-quadrature sigma needs a density bounded at x = 1, "
+                f"but {law} has b = {law.p2:g} < 1; use exact-moments")
+
+
+class _Uniform(_Family):
+    unbounded_above = False
+
+    def support(self, a, b, xs):
+        return (xs >= a) & (xs <= b)
+
+    def density(self, a, b):
+        height = 1.0 / (b - a)
+        return lambda x: np.full_like(x, height)
+
+    def cdf(self, a, b, xs):
+        return np.clip((xs - a) / (b - a), 0.0, 1.0)
+
+    def quantile(self, a, b, us):
+        return a + (b - a) * us
+
+    def draw(self, a, b, streams, ws, n):
+        x = streams.uniforms(n)
+        x *= b - a
+        x += a
+        return x
+
+    def raw_moment(self, a, b, k):
+        # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)), written as a stable power sum
+        return sum(a ** (k - j) * b ** j for j in range(k + 1)) / (k + 1.0)
+
+    def variance(self, a, b):
+        return (b - a) ** 2 / 12.0
+
+    def conditions(self, mean, msq, s2, vb):
+        # cannot fail with empirical moments, kept as a guard
+        return [(np.logical_not(s2 < 0.0), DegenerateSampleError,
+                 "negative variance {}", s2)]
+
+    def estimator(self, mean, msq, s2, vb):
+        half = HALF_WIDTH_FACTOR * np.sqrt(s2)
+        return mean - half, mean + half
+
+    def gradient(self, m1, m2, d):
+        _need(d > 0.0, f"uniform gradient requires m2 > m1^2, got d={d}")
+        s = math.sqrt(d)
+        lam = HALF_WIDTH_FACTOR
+        return (1.0 + lam * m1 / s, -lam / (2.0 * s),
+                1.0 - lam * m1 / s, lam / (2.0 * s))
+
+
+class _Fisher(_Family):
+    moment_constraint = "b > {bound}"
+
+    def at_edges(self, a, b, xs, out):
+        if a == 2.0:
+            out[xs == 0.0] = 1.0
+        elif a < 2.0:
+            out[xs == 0.0] = np.inf
+
+    def density(self, a, b):
+        half_a, half_b = 0.5 * a, 0.5 * b
+        ln_c = half_a * math.log(a / b) - _ln_beta(half_a, half_b)
+        return lambda x: np.exp(ln_c + (half_a - 1.0) * np.log(x)
+                                - (half_a + half_b) * np.log1p(a * x / b))
+
+    def cdf(self, a, b, xs):
         pos = np.maximum(xs, 0.0)
         y = a * pos / (a * pos + b)
-        out = np.asarray(special.reg_inc_beta(0.5 * a, 0.5 * b, y))
-    return special._finish(out, scalar)
+        return np.asarray(special.reg_inc_beta(0.5 * a, 0.5 * b, y))
+
+    def quantile(self, a, b, us):
+        y = np.asarray(special.reg_inc_beta_inv(0.5 * a, 0.5 * b, us))
+        return b * y / (a * (1.0 - y))
+
+    def draw(self, a, b, streams, ws, n):
+        # (chi2_a / a) / (chi2_b / b) with chi2_k = 2 Gamma(k/2, 1)
+        x = streams.gammas(0.5 * a, n)
+        g2 = streams.gammas(0.5 * b, n, ws.take("batch", x.shape))
+        x *= b
+        g2 *= a
+        x /= g2
+        return x
+
+    def raw_moment(self, a, b, k):
+        # E X^k = (b/a)^k prod_j (a/2 + j)/(b/2 - 1 - j), needs b > 2k
+        if not b > 2 * k:
+            return None
+        value = (b / a) ** k
+        for j in range(k):
+            value *= (0.5 * a + j) / (0.5 * b - 1.0 - j)
+        return value
+
+    def variance(self, a, b):
+        if not b > 4.0:
+            return None
+        return 2.0 * b ** 2 * (a + b - 2.0) / (a * (b - 2.0) ** 2 * (b - 4.0))
+
+    def denominator(self, mean, s2):
+        return s2 * (2.0 - mean) - mean * mean * (mean - 1.0)
+
+    def conditions(self, mean, msq, s2, vb):
+        denom = self.denominator(mean, s2)
+        return [
+            (mean > 1.0, InfeasibleMomentError,
+             "fisher estimator requires mean > 1, got {}", mean),
+            (denom > 0.0, DegenerateSampleError,
+             "fisher estimator requires S^2 (2 - mean) - mean^2 (mean - 1) "
+             "> 0, got {}", denom),
+        ]
+
+    def estimator(self, mean, msq, s2, vb):
+        return (2.0 * mean * mean / self.denominator(mean, s2),
+                2.0 * mean / (mean - 1.0))
+
+    def gradient(self, m1, m2, d):
+        _need(m1 > 1.0, f"fisher gradient requires m1 > 1, got {m1}")
+        alpha = (2.0 - m1) * m2 - m1 * m1
+        _need(alpha > 0.0,
+              f"fisher gradient requires (2-m1) m2 - m1^2 > 0, got {alpha}")
+        a2 = alpha * alpha
+        return ((4.0 * m1 * alpha + 2.0 * m1 * m1 * (m2 + 2.0 * m1)) / a2,
+                -2.0 * m1 * m1 * (2.0 - m1) / a2,
+                -2.0 / (m1 - 1.0) ** 2, 0.0)
+
+    def verbatim(self, mu, s2):
+        # the printed normalizer, which differs from the true
+        # denominator (2 - mu) sigma^2 - mu^2 (mu - 1) of the gradient
+        _need(mu > 1.0, f"fisher coefficients require m1 > 1, got {mu}")
+        beta = s2 + 2.0 * mu * (2.0 - mu) - mu * (3.0 * mu - 2.0)
+        _need(beta != 0.0, "fisher verbatim normalizer vanished")
+        return (2.0 * mu * (2.0 - mu) / beta,
+                -2.0 * mu * mu * (2.0 - mu) / (beta * beta),
+                -2.0 / (mu - 1.0) ** 2, 0.0)
+
+
+_FAMILIES = {LawKind.GAMMA: _Gamma(), LawKind.BETA: _Beta(),
+             LawKind.UNIFORM: _Uniform(), LawKind.FISHER: _Fisher()}
+
+
+def _family(kind) -> _Family:
+    """The record of the law ``kind``.  Anything but a :class:`LawKind`
+    member, a plain string included, raises :class:`DomainError`."""
+    if not isinstance(kind, LawKind):
+        raise DomainError(f"law kind must be a LawKind member, got {kind!r}")
+    return _FAMILIES[kind]
+
+
+def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
+    """Density of ``law`` at ``x``; zero outside the support."""
+    family, a, b = _family(law.kind), law.p1, law.p2
+    raw, scalar = special._prepare(x)
+    xs = np.atleast_1d(raw)
+    out = np.zeros_like(xs)
+    inside = family.support(a, b, xs)
+    out[inside] = family.density(a, b)(xs[inside])
+    family.at_edges(a, b, xs, out)
+    return special._finish(out.reshape(raw.shape), scalar)
+
+
+def _density_over(law: LawSpec, lo: float,
+                  hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The density of ``law`` for nodes in [lo, hi], and above hi where
+    the support is unbounded above: :func:`_density` when lo and hi both
+    lie where it holds, else :func:`pdf` with its values at the support
+    edges (a quantile may round onto an edge)."""
+    if _family(law.kind).support(law.p1, law.p2, np.array([lo, hi])).all():
+        return _density(law)
+    return partial(pdf, law)
+
+
+def _density(law: LawSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The density formula of ``law`` with its constants computed once,
+    for points in its support mask."""
+    return _family(law.kind).density(law.p1, law.p2)
+
+
+def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
+    """Cumulative distribution function of ``law`` at ``x``."""
+    xs, scalar = special._prepare(x)
+    return special._finish(_family(law.kind).cdf(law.p1, law.p2, xs), scalar)
 
 
 def quantile(law: LawSpec, u: ArrayLike) -> ArrayLike:
     """Quantile (generalized inverse cdf) of ``law`` at u in (0, 1)."""
-    a, b = law.p1, law.p2
     us, scalar = special._prepare(u)
-    if np.any((us <= 0.0) | (us >= 1.0)):
+    if not np.all((us > 0.0) & (us < 1.0)):
         raise DomainError("quantile requires u strictly inside (0, 1)")
-    if law.kind is LawKind.UNIFORM:
-        out = a + (b - a) * us
-    elif law.kind is LawKind.GAMMA:
-        out = np.asarray(special.reg_inc_gamma_inv(a, us)) / b
-    elif law.kind is LawKind.BETA:
-        out = np.asarray(special.reg_inc_beta_inv(a, b, us))
-    else:  # Fisher
-        y = np.asarray(special.reg_inc_beta_inv(0.5 * a, 0.5 * b, us))
-        out = b * y / (a * (1.0 - y))
+    out = _family(law.kind).quantile(law.p1, law.p2, us)
     return special._finish(out, scalar)
 
 
@@ -253,78 +540,23 @@ def sample_rows(law: LawSpec, n: int, seeds,
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    a, b = law.p1, law.p2
     ws = Workspace() if workspace is None else workspace
     streams = RowStreams(seeds, ws)
-    if law.kind is LawKind.UNIFORM:
-        x = streams.uniforms(n)
-        x *= b - a
-        x += a
-        return x
-    # the first gamma batch is drawn into the array returned, the second
-    # into the workspace
-    if law.kind is LawKind.GAMMA:
-        x = streams.gammas(a, n)
-        x /= b
-        return x
-    if law.kind is LawKind.BETA:
-        x = streams.gammas(a, n)
-        g2 = streams.gammas(b, n, ws.take("batch", x.shape))
-        g2 += x
-        x /= g2
-        return x
-    # Fisher: (chi2_a / a) / (chi2_b / b) with chi2_k = 2 Gamma(k/2, 1)
-    x = streams.gammas(0.5 * a, n)
-    g2 = streams.gammas(0.5 * b, n, ws.take("batch", x.shape))
-    x *= b
-    g2 *= a
-    x /= g2
-    return x
+    return _family(law.kind).draw(law.p1, law.p2, streams, ws, n)
 
 
 def theoretical_moments(law: LawSpec) -> MomentSet:
     """Closed-form m1..m4 and variance; nonexistent moments are ``None``.
     A moment whose power overflows or whose divisor underflows to zero in
     floating point raises a DomainError naming the law and the moment."""
+    family = _family(law.kind)
     values = []
     for order in (1, 2, 3, 4, None):
         try:
-            values.append(_raw_moment(law, order) if order
-                          else _variance(law))
+            values.append(family.raw_moment(law.p1, law.p2, order) if order
+                          else family.variance(law.p1, law.p2))
         except (OverflowError, ZeroDivisionError):
             what = f"{_ORDINALS[order]} moment" if order else "variance"
             raise DomainError(f"the {what} of {law} is out of "
                               f"floating-point range") from None
-    fisher = law.kind is LawKind.FISHER
-    return MomentSet(*values, constraint="b > {bound}" if fisher else "")
-
-
-def _raw_moment(law: LawSpec, k: int) -> Optional[float]:
-    a, b = law.p1, law.p2
-    if law.kind is LawKind.GAMMA:
-        return a / b ** k * math.prod(a + j for j in range(1, k))
-    if law.kind is LawKind.BETA:
-        return math.prod((a + j) / (a + b + j) for j in range(k))
-    if law.kind is LawKind.UNIFORM:
-        # (b^(k+1) - a^(k+1)) / ((k+1)(b-a)), written as a stable power sum
-        return sum(a ** (k - j) * b ** j for j in range(k + 1)) / (k + 1.0)
-    # Fisher: E X^k = (b/a)^k prod_j (a/2 + j)/(b/2 - 1 - j), needs b > 2k
-    if not b > 2 * k:
-        return None
-    value = (b / a) ** k
-    for j in range(k):
-        value *= (0.5 * a + j) / (0.5 * b - 1.0 - j)
-    return value
-
-
-def _variance(law: LawSpec) -> Optional[float]:
-    a, b = law.p1, law.p2
-    if law.kind is LawKind.GAMMA:
-        return a / b ** 2
-    if law.kind is LawKind.BETA:
-        return a * b / ((a + b) ** 2 * (a + b + 1.0))
-    if law.kind is LawKind.UNIFORM:
-        return (b - a) ** 2 / 12.0
-    if not b > 4.0:
-        return None
-    return 2.0 * b ** 2 * (a + b - 2.0) / (a * (b - 2.0) ** 2 * (b - 4.0))
+    return MomentSet(*values, constraint=family.moment_constraint)

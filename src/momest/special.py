@@ -72,7 +72,7 @@ def reg_inc_gamma_inv(a: float, p: ArrayLike) -> ArrayLike:
     if not a > 0.0:
         raise DomainError(f"reg_inc_gamma_inv requires a > 0, got a={a}")
     ps, scalar = _prepare(p)
-    if np.any((ps < 0.0) | (ps >= 1.0)):
+    if not np.all((ps >= 0.0) & (ps < 1.0)):
         raise DomainError(f"reg_inc_gamma_inv requires p in [0, 1), got {p}")
     return _finish(_sp.gammaincinv(a, ps), scalar)
 
@@ -93,7 +93,7 @@ def reg_inc_beta_inv(a: float, b: float, p: ArrayLike) -> ArrayLike:
         raise DomainError(
             f"reg_inc_beta_inv requires a, b > 0, got a={a}, b={b}")
     ps, scalar = _prepare(p)
-    if np.any((ps < 0.0) | (ps > 1.0)):
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise DomainError(f"reg_inc_beta_inv requires p in [0, 1], got {p}")
     return _finish(_sp.betaincinv(a, b, ps), scalar)
 
@@ -113,7 +113,7 @@ def normal_sf(z: ArrayLike) -> ArrayLike:
 def normal_quantile(u: ArrayLike) -> ArrayLike:
     """Standard normal quantile, u strictly inside (0, 1)."""
     us, scalar = _prepare(u)
-    if np.any((us <= 0.0) | (us >= 1.0)):
+    if not np.all((us > 0.0) & (us < 1.0)):
         raise DomainError(f"normal_quantile requires u in (0, 1), got {u}")
     return _finish(_sp.ndtri(us), scalar)
 
@@ -144,7 +144,7 @@ def chisq_quantile(u: ArrayLike, df: int) -> ArrayLike:
     """Chi-square quantile, u in [0, 1)."""
     _check_df(df)
     us, scalar = _prepare(u)
-    if np.any((us < 0.0) | (us >= 1.0)):
+    if not np.all((us >= 0.0) & (us < 1.0)):
         raise DomainError(f"chisq_quantile requires u in [0, 1), got {u}")
     if df == 2:
         return _finish(-2.0 * np.log1p(-us), scalar)

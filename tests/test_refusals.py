@@ -7,12 +7,13 @@ The Beta gradient's "m1 < 1" guard is not listed: m1 > m2 > m1^2 already
 implies m1 < 1, so no input reaches it.
 """
 
+import numpy as np
 import pytest
 
 from momest import (CoefficientMode, DegenerateSampleError, DomainError,
                     EmpiricalMoments, InfeasibleMomentError, LawKind, LawSpec,
                     MomentDomainError, covariance_exact_quadrature,
-                    delta_gradient, estimate, influence_pair,
+                    delta_gradient, estimate, estimate_rows, influence_pair,
                     theoretical_moments)
 
 GAMMA, BETA, UNIFORM, FISHER = (LawKind.GAMMA, LawKind.BETA, LawKind.UNIFORM,
@@ -143,3 +144,20 @@ def test_refusal(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "gamma", 3], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda kind: LawSpec(kind, 2.0, 3.0),
+    lambda kind: estimate(kind, moments(2.0, 5.0, 1.0, 1.0)),
+    lambda kind: estimate_rows(kind, np.arange(10.0).reshape(2, 5)),
+    lambda kind: delta_gradient(kind, 2.0, 5.0),
+], ids=["LawSpec", "estimate", "estimate_rows", "delta_gradient"])
+def test_unknown_kind_refused(call, kind):
+    """A kind that is not a LawKind member, even the string value of one,
+    is refused by name instead of computing some other law."""
+    with pytest.raises(DomainError) as info:
+        call(kind)
+    assert type(info.value) is DomainError
+    assert str(info.value) == (
+        f"law kind must be a LawKind member, got {kind!r}")

@@ -11,6 +11,7 @@ from momest import (DEFAULT_QUAD_CONFIG, DomainError, LawSpec,
                     chisq_quantile, chisq_sf, ln_gamma, normal_cdf,
                     normal_quantile, quantile, reg_inc_beta, reg_inc_gamma,
                     trapezoid_integrate)
+from momest import special
 
 
 class TestLnGamma:
@@ -162,6 +163,32 @@ class TestChiSquare:
             chisq_quantile(1.0, 2)
         with pytest.raises(DomainError):
             chisq_cdf(1.0, 0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda u: normal_quantile(u),
+     "normal_quantile requires u in (0, 1), got {}"),
+    (lambda u: chisq_quantile(u, 3),
+     "chisq_quantile requires u in [0, 1), got {}"),
+    (lambda p: special.reg_inc_gamma_inv(2.0, p),
+     "reg_inc_gamma_inv requires p in [0, 1), got {}"),
+    (lambda p: special.reg_inc_beta_inv(2.0, 3.0, p),
+     "reg_inc_beta_inv requires p in [0, 1], got {}"),
+    (lambda u: quantile(LawSpec.gamma(2.0, 3.0), u),
+     "quantile requires u strictly inside (0, 1)"),
+], ids=["normal_quantile", "chisq_quantile", "reg_inc_gamma_inv",
+        "reg_inc_beta_inv", "laws.quantile"])
+@pytest.mark.parametrize("prob", [NAN, np.array([0.5, NAN])],
+                         ids=["scalar", "array"])
+def test_nan_probability_refused(call, message, prob):
+    """NaN fails every comparison, so a probability check must test that
+    each value lies inside the domain, not that none lies outside."""
+    with pytest.raises(DomainError) as info:
+        call(prob)
+    assert str(info.value) == message.format(prob)
 
 
 class TestTrapezoid:
