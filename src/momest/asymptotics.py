@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (DomainError, InsufficientDataError, MomestError,
                      QuadratureError)
 from .laws import (LawKind, LawSpec, _density_over, _family, _need,
-                   quantile, theoretical_moments)
+                   _parse, quantile, theoretical_moments)
 from .rng import Workspace
 from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, _trapezoid_rows
 
@@ -81,15 +81,8 @@ class CoefficientMode(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "CoefficientMode":
-        key = name.strip().lower()
-        if key in ("paper", "legacy"):
-            key = "verbatim"
-        try:
-            return cls(key)
-        except ValueError:
-            raise DomainError(
-                f"unknown coefficient mode {name!r}; expected canonical or "
-                f"verbatim")
+        return _parse(cls, name, "coefficient mode",
+                      {"paper": "verbatim", "legacy": "verbatim"})
 
 
 class SigmaMethod(str, Enum):
@@ -100,12 +93,7 @@ class SigmaMethod(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "SigmaMethod":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise DomainError(
-                f"unknown sigma method {name!r}; expected one of {valid}")
+        return _parse(cls, name, "sigma method")
 
 
 @dataclass(frozen=True)

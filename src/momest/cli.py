@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed (required: runs must be reproducible)")
     p.add_argument("--mode", type=CoefficientMode.parse, default="canonical")
     p.add_argument("--sigma-methods", nargs="+", type=SigmaMethod.parse,
-                   default=None,
+                   default=DEFAULT_SIGMA_METHODS,
                    help="subset of exact-moments exact-quadrature plugin "
                         "replication")
     p.add_argument("--out", default=None,
@@ -343,12 +343,10 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     law = LawSpec(args.kind, args.a, args.b)
-    methods = (tuple(args.sigma_methods) if args.sigma_methods
-               else DEFAULT_SIGMA_METHODS)
     cfg = SimulationConfig(law=law, n=args.n, replications=args.replications,
                            master_seed=args.seed,
                            coefficient_mode=args.mode,
-                           sigma_methods=methods)
+                           sigma_methods=tuple(args.sigma_methods))
     outdir = Path(args.out or os.environ.get("MOMEST_OUTDIR")
                   or "momest-report")
     for part in (outdir, *outdir.parents):
@@ -378,12 +376,10 @@ def main(argv=None) -> int:
                 "test": cmd_test, "simulate": cmd_simulate}
     try:
         return handlers[args.command](args)
-    except SingularCovarianceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except MomestError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return (EXIT_SINGULAR if isinstance(exc, SingularCovarianceError)
+                else EXIT_INPUT)
 
 
 def entry() -> None:

@@ -77,11 +77,19 @@ class LawKind(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "LawKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise DomainError(f"unknown law {name!r}; expected one of {valid}")
+        return _parse(cls, name, "law")
+
+
+def _parse(enum, name: str, what: str, aliases=None):
+    """The member of ``enum`` whose value is ``name`` stripped and lower
+    cased, or ``aliases[name]`` where it names one; any other name raises
+    :class:`DomainError` naming the ``what`` and the valid values."""
+    key = name.strip().lower()
+    try:
+        return enum((aliases or {}).get(key, key))
+    except ValueError:
+        valid = ", ".join(m.value for m in enum)
+        raise DomainError(f"unknown {what} {name!r}; expected one of {valid}")
 
 
 @dataclass(frozen=True)
@@ -491,18 +499,13 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
 def _density_over(law: LawSpec, lo: float,
                   hi: float) -> Callable[[np.ndarray], np.ndarray]:
     """The density of ``law`` for nodes in [lo, hi], and above hi where
-    the support is unbounded above: :func:`_density` when lo and hi both
-    lie where it holds, else :func:`pdf` with its values at the support
-    edges (a quantile may round onto an edge)."""
+    the support is unbounded above: the record's density, its constants
+    computed once, when lo and hi both lie where it holds, else
+    :func:`pdf` with its values at the support edges (a quantile may round
+    onto an edge)."""
     if _family(law.kind).support(law.p1, law.p2, np.array([lo, hi])).all():
-        return _density(law)
+        return _family(law.kind).density(law.p1, law.p2)
     return partial(pdf, law)
-
-
-def _density(law: LawSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The density formula of ``law`` with its constants computed once,
-    for points in its support mask."""
-    return _family(law.kind).density(law.p1, law.p2)
 
 
 def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:

@@ -336,13 +336,21 @@ def _rates(law: LawSpec, n: int, a_hat: np.ndarray, b_hat: np.ndarray,
     return marginal, omnibus
 
 
+def _figure_values(values, too_few: str) -> np.ndarray:
+    """``values`` as a flat float array; fewer than 2 values raise
+    :class:`InsufficientDataError` with the message ``too_few``, and a
+    non-finite value raises :class:`DomainError`."""
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size < 2:
+        raise InsufficientDataError(too_few)
+    _require_finite(v)
+    return v
+
+
 def qq_plot_data(values) -> np.ndarray:
     """Pairs (normal quantile at (i - 1/2)/n, i-th order statistic).
     Non-finite values raise :class:`DomainError`."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2:
-        raise InsufficientDataError("qq plot needs at least 2 values")
-    _require_finite(v)
+    v = _figure_values(values, "qq plot needs at least 2 values")
     v = np.sort(v)
     u = (np.arange(1, v.size + 1) - 0.5) / v.size
     return np.column_stack([normal_quantile(u), v])
@@ -351,10 +359,7 @@ def qq_plot_data(values) -> np.ndarray:
 def silverman_bandwidth(values) -> float:
     """0.9 min(sd, IQR/1.34) n^(-1/5).  Non-finite values raise
     :class:`DomainError`."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2:
-        raise InsufficientDataError("bandwidth needs at least 2 values")
-    _require_finite(v)
+    v = _figure_values(values, "bandwidth needs at least 2 values")
     sd = float(np.std(v, ddof=1))
     q75, q25 = np.percentile(v, [75.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)
@@ -369,10 +374,7 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
     the Silverman rule is applied; a zero-spread sample then raises.
     Non-finite values raise :class:`DomainError`.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2:
-        raise InsufficientDataError("density estimate needs >= 2 values")
-    _require_finite(v)
+    v = _figure_values(values, "density estimate needs >= 2 values")
     if not grid_lo < grid_hi:
         raise DomainError(f"need grid_lo < grid_hi, got {grid_lo}, {grid_hi}")
     if grid_points < 2:

@@ -34,16 +34,12 @@ __all__ = ["write_report", "report_to_dict"]
 SCHEMA_VERSION = "1"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """``rows`` is a 2-D float array, or lists of str and float cells."""
     if isinstance(rows, np.ndarray):
         body = [",".join(map(repr, row)) for row in rows.tolist()]
     else:
-        body = [",".join(cell if isinstance(cell, str) else _fmt(cell)
+        body = [",".join(cell if isinstance(cell, str) else repr(float(cell))
                          for cell in row) for row in rows]
     path.write_text("\n".join([",".join(header), *body]) + "\n",
                     encoding="utf-8")
