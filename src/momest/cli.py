@@ -40,7 +40,8 @@ import numpy as np
 
 from .asymptotics import (CoefficientMode, SigmaMethod, influence_pair,
                           sigma_for)
-from .errors import MomestError, SampleParseError, SingularCovarianceError
+from .errors import (DomainError, MomestError, SampleParseError,
+                     SingularCovarianceError)
 from .estimation import empirical_moments, estimate
 from .laws import LawKind, LawSpec
 from .montecarlo import (DEFAULT_SIGMA_METHODS, SimulationConfig,
@@ -59,15 +60,28 @@ EXIT_SINGULAR = 4
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
+def _choice(parse):
+    """``parse`` as an argparse ``type``: its :class:`DomainError` becomes
+    the message argparse prints before it exits with code 2."""
+    def convert(name: str):
+        try:
+            return parse(name)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momest",
         description="Moment estimation, asymptotic covariances, marginal and "
                     "omnibus tests, and Monte-Carlo calibration runs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    law_kind, mode, sigma = map(_choice, (LawKind.parse, CoefficientMode.parse,
+                                          SigmaMethod.parse))
 
     def add_law(p, hypothesized=False):
-        p.add_argument("kind", type=LawKind.parse,
+        p.add_argument("kind", type=law_kind,
                        help="gamma | beta | uniform | fisher")
         names = ("a0", "b0") if hypothesized else ("a", "b")
         p.add_argument(names[0], type=float)
@@ -86,12 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs",
                        help="influence coefficients and exact covariance")
     add_law(p)
-    p.add_argument("--mode", type=CoefficientMode.parse, default="canonical",
+    p.add_argument("--mode", type=mode, default="canonical",
                    help="canonical | verbatim (alias: paper)")
     add_format(p)
 
     p = sub.add_parser("estimate", help="moment estimates from a sample")
-    p.add_argument("kind", type=LawKind.parse)
+    p.add_argument("kind", type=law_kind)
     add_input(p)
     add_format(p)
 
@@ -99,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="marginal and omnibus tests of (a0, b0)")
     add_law(p, hypothesized=True)
     add_input(p)
-    p.add_argument("--sigma", type=SigmaMethod.parse, default="exact-moments",
+    p.add_argument("--sigma", type=sigma, default="exact-moments",
                    help="exact-moments | exact-quadrature | plugin")
-    p.add_argument("--mode", type=CoefficientMode.parse, default="canonical")
+    p.add_argument("--mode", type=mode, default="canonical")
     add_format(p)
 
     p = sub.add_parser("simulate", help="replicated calibration study")
@@ -110,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", "-B", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="master seed (required: runs must be reproducible)")
-    p.add_argument("--mode", type=CoefficientMode.parse, default="canonical")
-    p.add_argument("--sigma-methods", nargs="+", type=SigmaMethod.parse,
+    p.add_argument("--mode", type=mode, default="canonical")
+    p.add_argument("--sigma-methods", nargs="+", type=sigma,
                    default=DEFAULT_SIGMA_METHODS,
                    help="subset of exact-moments exact-quadrature plugin "
                         "replication")
@@ -271,9 +285,18 @@ def cmd_coeffs(args) -> int:
         f"center={l.center:.10g}",
     ]
     for method in (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE):
-        sig = sigma_for(method, law, h, l)
-        payload[f"sigma_{method.name.lower()}"] = {
-            **_sigma_dict(sig), "correlation": sig.correlation}
+        key = f"sigma_{method.name.lower()}"
+        try:
+            sig = sigma_for(method, law, h, l)
+        except MomestError as exc:
+            # the quadrature route refuses some laws whose exact-moments
+            # sigma exists; that sigma is still shown
+            if method is SigmaMethod.EXACT_MOMENTS:
+                raise
+            payload[key] = {"refused": str(exc)}
+            lines.append(f"sigma [{method.value}]: refused: {exc}")
+            continue
+        payload[key] = {**_sigma_dict(sig), "correlation": sig.correlation}
         lines.append(
             f"sigma [{method.value}]: s11={sig.s11:.10g} s22={sig.s22:.10g} "
             f"s12={sig.s12:.10g} det={sig.det:.10g} "

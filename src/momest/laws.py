@@ -81,9 +81,9 @@ class LawKind(str, Enum):
 
 
 def _parse(enum, name: str, what: str, aliases=None):
-    """The member of ``enum`` whose value is ``name`` stripped and lower
-    cased, or ``aliases[name]`` where it names one; any other name raises
-    :class:`DomainError` naming the ``what`` and the valid values."""
+    """The member of ``enum`` whose value is ``name``, stripped and lower
+    cased, or the value ``aliases`` maps that name to; any other name
+    raises :class:`DomainError` naming the ``what`` and the valid values."""
     key = name.strip().lower()
     try:
         return enum((aliases or {}).get(key, key))
@@ -484,10 +484,20 @@ def _family(kind) -> _Family:
     return _FAMILIES[kind]
 
 
+def _points(x: ArrayLike) -> tuple[np.ndarray, bool]:
+    """``x`` as a float array and whether it was a scalar; a NaN point
+    raises :class:`DomainError`, for :func:`pdf` and :func:`cdf` alike."""
+    xs, scalar = special._prepare(x)
+    if np.isnan(xs).any():
+        raise DomainError(f"x must not be NaN, got x={x}")
+    return xs, scalar
+
+
 def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
-    """Density of ``law`` at ``x``; zero outside the support."""
+    """Density of ``law`` at ``x``; zero outside the support.  A NaN
+    ``x`` raises :class:`DomainError`."""
     family, a, b = _family(law.kind), law.p1, law.p2
-    raw, scalar = special._prepare(x)
+    raw, scalar = _points(x)
     xs = np.atleast_1d(raw)
     out = np.zeros_like(xs)
     inside = family.support(a, b, xs)
@@ -509,8 +519,9 @@ def _density_over(law: LawSpec, lo: float,
 
 
 def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
-    """Cumulative distribution function of ``law`` at ``x``."""
-    xs, scalar = special._prepare(x)
+    """Cumulative distribution function of ``law`` at ``x``.  A NaN ``x``
+    raises :class:`DomainError`."""
+    xs, scalar = _points(x)
     return special._finish(_family(law.kind).cdf(law.p1, law.p2, xs), scalar)
 
 
@@ -550,16 +561,20 @@ def sample_rows(law: LawSpec, n: int, seeds,
 
 def theoretical_moments(law: LawSpec) -> MomentSet:
     """Closed-form m1..m4 and variance; nonexistent moments are ``None``.
-    A moment whose power overflows or whose divisor underflows to zero in
-    floating point raises a DomainError naming the law and the moment."""
+    A moment that is not finite in floating point, because a power, product
+    or quotient overflows or a divisor underflows to zero, raises a
+    DomainError naming the law and the moment."""
     family = _family(law.kind)
     values = []
     for order in (1, 2, 3, 4, None):
         try:
-            values.append(family.raw_moment(law.p1, law.p2, order) if order
-                          else family.variance(law.p1, law.p2))
+            value = (family.raw_moment(law.p1, law.p2, order) if order
+                     else family.variance(law.p1, law.p2))
         except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if value is not None and not math.isfinite(value):
             what = f"{_ORDINALS[order]} moment" if order else "variance"
             raise DomainError(f"the {what} of {law} is out of "
-                              f"floating-point range") from None
+                              f"floating-point range")
+        values.append(value)
     return MomentSet(*values, constraint=family.moment_constraint)

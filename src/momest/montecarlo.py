@@ -350,8 +350,7 @@ def _figure_values(values, too_few: str) -> np.ndarray:
 def qq_plot_data(values) -> np.ndarray:
     """Pairs (normal quantile at (i - 1/2)/n, i-th order statistic).
     Non-finite values raise :class:`DomainError`."""
-    v = _figure_values(values, "qq plot needs at least 2 values")
-    v = np.sort(v)
+    v = np.sort(_figure_values(values, "qq plot needs at least 2 values"))
     u = (np.arange(1, v.size + 1) - 0.5) / v.size
     return np.column_stack([normal_quantile(u), v])
 

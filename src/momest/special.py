@@ -62,7 +62,7 @@ def reg_inc_gamma(a: float, x: ArrayLike) -> ArrayLike:
     if not a > 0.0:
         raise DomainError(f"reg_inc_gamma requires a > 0, got a={a}")
     xs, scalar = _prepare(x)
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):
         raise DomainError(f"reg_inc_gamma requires x >= 0, got x={x}")
     return _finish(_sp.gammainc(a, xs), scalar)
 
@@ -82,7 +82,7 @@ def reg_inc_beta(a: float, b: float, x: ArrayLike) -> ArrayLike:
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
     xs, scalar = _prepare(x)
-    if np.any((xs < 0.0) | (xs > 1.0)):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got x={x}")
     return _finish(_sp.betainc(a, b, xs), scalar)
 
@@ -122,7 +122,7 @@ def chisq_cdf(x: ArrayLike, df: int) -> ArrayLike:
     """Chi-square cdf; the df=2 case is the closed form 1 - exp(-x/2)."""
     _check_df(df)
     xs, scalar = _prepare(x)
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):
         raise DomainError(f"chisq_cdf requires x >= 0, got {x}")
     if df == 2:
         return _finish(-np.expm1(-0.5 * xs), scalar)
@@ -133,7 +133,7 @@ def chisq_sf(x: ArrayLike, df: int) -> ArrayLike:
     """Chi-square survival function, accurate in the far tail."""
     _check_df(df)
     xs, scalar = _prepare(x)
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):
         raise DomainError(f"chisq_sf requires x >= 0, got {x}")
     if df == 2:
         return _finish(np.exp(-0.5 * xs), scalar)

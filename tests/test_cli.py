@@ -80,6 +80,57 @@ class TestCoeffs:
             main(["coeffs", "cauchy", "1", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["coeffs", "cauchy", "1", "2"],
+         "argument kind: unknown law 'cauchy'; expected one of gamma, beta, "
+         "uniform, fisher"),
+        (["test", "gamma", "2", "3", "--input", "s.txt", "--sigma", "bogus"],
+         "argument --sigma: unknown sigma method 'bogus'; expected one of "
+         "exact-quadrature, exact-moments, plugin, replication"),
+        (["coeffs", "gamma", "2", "3", "--mode", "bogus"],
+         "argument --mode: unknown coefficient mode 'bogus'; expected one of "
+         "canonical, verbatim"),
+        (["simulate", "gamma", "2", "3", "--n", "10", "-B", "2", "--seed",
+          "1", "--sigma-methods", "plugin", "bogus"],
+         "argument --sigma-methods: unknown sigma method 'bogus'; expected "
+         "one of exact-quadrature, exact-moments, plugin, replication"),
+    ], ids=["kind", "sigma", "mode", "sigma-methods"])
+    def test_unknown_name_shows_the_parser_message(self, capsys, argv,
+                                                   message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("law, message", [
+        (("beta", "2", "0.5"),
+         "exact-quadrature sigma needs a density bounded at x = 1, but "
+         "beta(2, 0.5) has b = 0.5 < 1; use exact-moments"),
+        (("fisher", "5", "8.8"),
+         "exact-quadrature sigma of fisher(5, 8.8): the upper tail has not "
+         "settled after 60 blocks [x, 2x] up to x = 3.78302e+20; use "
+         "exact-moments")], ids=["beta", "fisher"])
+    def test_quadrature_refusal_keeps_exact_moments(self, capsys, law,
+                                                    message):
+        code, out, err = run_cli(capsys, "coeffs", *law)
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        assert lines[3].startswith("sigma [exact-moments]: s11=")
+        assert lines[4:] == [f"sigma [exact-quadrature]: refused: {message}"]
+        code, out, err = run_cli(capsys, "coeffs", *law, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["sigma_exact_quadrature"] == {"refused": message}
+        assert doc["sigma_exact_moments"]["method"] == "exact-moments"
+
+    def test_moment_overflow_names_the_moment(self, capsys):
+        """Gamma(1e300, 1e-10) has m1 = a / b = 1e310, which overflows in
+        the quotient, not in a power."""
+        code, out, err = run_cli(capsys, "coeffs", "gamma", "1e300", "1e-10")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: the first moment of gamma(1e+300, 1e-10) is "
+                       "out of floating-point range\n")
+
     @pytest.mark.parametrize("flag", ["--panels", "--tol",
                                       "--max-doublings"])
     def test_quadrature_flags_gone(self, capsys, flag):

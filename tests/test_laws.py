@@ -77,6 +77,17 @@ class TestPdf:
         assert m1 == pytest.approx(theoretical_moments(law).require(1),
                                    abs=1e-6)
 
+    @pytest.mark.parametrize("law", ACCEPTANCE_LAWS, ids=str)
+    @pytest.mark.parametrize("func", [pdf, cdf], ids=["pdf", "cdf"])
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])],
+                             ids=["scalar", "array"])
+    def test_nan_point_refused(self, law, func, x):
+        """pdf and cdf refuse a NaN point with one error, instead of a
+        density of 0 and a cdf of nan."""
+        with pytest.raises(DomainError) as info:
+            func(law, x)
+        assert str(info.value) == f"x must not be NaN, got x={x}"
+
     def test_fisher_normalization(self):
         law = LawSpec.fisher(5.0, 10.0)
         lo, hi = truncated_support(law)
@@ -188,10 +199,13 @@ class TestTheoreticalMoments:
         (LawSpec.gamma(2.0, 1e200), "second moment"),
         (LawSpec.uniform(1e100, 2e100), "fourth moment"),
         (LawSpec.fisher(1e-300, 12.0), "second moment"),
-        (LawSpec.beta(1e-200, 1e-200), "variance")], ids=str)
+        (LawSpec.beta(1e-200, 1e-200), "variance"),
+        (LawSpec.gamma(1e300, 1e-10), "first moment"),
+        (LawSpec.gamma(1e300, 1.0), "second moment")], ids=str)
     def test_out_of_float_range(self, law, what):
-        """A power that overflows or a divisor that underflows to zero is
-        a typed error naming the law and the moment."""
+        """A power, product or quotient that overflows, or a divisor that
+        underflows to zero, is a typed error naming the law and the
+        moment."""
         with pytest.raises(DomainError,
                            match=f"the {what} of {re.escape(str(law))} "):
             theoretical_moments(law)
