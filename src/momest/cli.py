@@ -81,11 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                                           SigmaMethod.parse))
 
     def add_law(p, hypothesized=False):
-        p.add_argument("kind", type=law_kind,
-                       help="gamma | beta | uniform | fisher")
+        p.add_argument("kind", type=law_kind, help=" | ".join(LawKind))
         names = ("a0", "b0") if hypothesized else ("a", "b")
         p.add_argument(names[0], type=float)
         p.add_argument(names[1], type=float)
+        p.add_argument("--mode", type=mode, default="canonical",
+                       help=" | ".join(CoefficientMode) + " (alias: paper)")
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -100,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs",
                        help="influence coefficients and exact covariance")
     add_law(p)
-    p.add_argument("--mode", type=mode, default="canonical",
-                   help="canonical | verbatim (alias: paper)")
     add_format(p)
 
     p = sub.add_parser("estimate", help="moment estimates from a sample")
@@ -114,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_law(p, hypothesized=True)
     add_input(p)
     p.add_argument("--sigma", type=sigma, default="exact-moments",
-                   help="exact-moments | exact-quadrature | plugin")
-    p.add_argument("--mode", type=mode, default="canonical")
+                   help=" | ".join(m for m in SigmaMethod
+                                   if m is not SigmaMethod.REPLICATION))
     add_format(p)
 
     p = sub.add_parser("simulate", help="replicated calibration study")
@@ -124,11 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", "-B", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="master seed (required: runs must be reproducible)")
-    p.add_argument("--mode", type=mode, default="canonical")
     p.add_argument("--sigma-methods", nargs="+", type=sigma,
                    default=DEFAULT_SIGMA_METHODS,
-                   help="subset of exact-moments exact-quadrature plugin "
-                        "replication")
+                   help="subset of " + " ".join(SigmaMethod))
     p.add_argument("--out", default=None,
                    help="output directory (default: $MOMEST_OUTDIR or "
                         "./momest-report)")

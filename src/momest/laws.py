@@ -1,42 +1,27 @@
 """The four parametric laws: densities, cdfs, quantiles, sampling,
 closed-form moments and the moment estimators' maps.
 
-Parameterizations:
-
-* Gamma(a, b): shape a > 0, **rate** b > 0, density b^a x^(a-1) e^(-bx)/G(a).
-* Beta(a, b): a, b > 0 on [0, 1].
-* Uniform(a, b): any a < b.  (Some references additionally restrict a > 0;
-  nothing here needs it, so it is not enforced.)
-* Fisher(a, b): degrees of freedom a, b > 0, the ratio (Z1/a)/(Z2/b) of two
-  independent chi-squares.  The density is the standard F density; the k-th
-  moment exists only for b > 2k.
-
-Estimator maps, with Xbar the sample mean, M2 the mean of squares and
-S2 the unbiased variance (divisor n-1):
-
-* Gamma:   (Xbar^2 / S2, Xbar / S2)
-* Beta:    (Xbar (Xbar - M2) / V, (1 - Xbar)(Xbar - M2) / V) with the
-           *biased* variance V = M2 - Xbar^2 in the denominator
-* Uniform: Xbar -/+ sqrt(3) * sqrt(S2)
-* Fisher:  (2 Xbar^2 / (S2 (2 - Xbar) - Xbar^2 (Xbar - 1)),
-            2 Xbar / (Xbar - 1))
-
-Each map is only defined under positivity conditions; violations raise
-typed errors naming the condition so that the Monte-Carlo harness can count
-infeasible replications.  The conditions and the maps evaluate on floats and
-on arrays alike.
+Estimator maps are written with Xbar the sample mean, M2 the mean of
+squares and S2 the unbiased variance (divisor n-1).  Each map is only
+defined under positivity conditions; violations raise typed errors naming
+the condition so that the Monte-Carlo harness can count infeasible
+replications.  The conditions and the maps evaluate on floats and on arrays
+alike.
 
 Everything that differs from law to law lives in one private record per
-law, a :class:`_Family` found by :func:`_family`: support, density, cdf,
-quantile and sampler; moments; estimator conditions and map; the map's
-delta-method gradient and the verbatim coefficients; and the laws the
-exact-quadrature route refuses.  :mod:`momest.estimation` and
+law, a :class:`_Family` found by :func:`_family`: parameter domain,
+support, density and its values at the support edges, cdf, quantile and
+sampler; moments; estimator conditions and map; the map's delta-method
+gradient and the verbatim coefficients; and the laws the exact-quadrature
+route refuses.  Each record's docstring gives its law's parameterization,
+estimator map and sampler.  :mod:`momest.estimation` and
 :mod:`momest.asymptotics` reach a law only through that lookup.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -94,23 +79,26 @@ def _parse(enum, name: str, what: str, aliases=None):
 
 @dataclass(frozen=True)
 class LawSpec:
-    """A law kind with its two parameters (a, b)."""
+    """A law kind with its two parameters (a, b), stored as floats so that
+    equal laws print and serialize alike."""
 
     kind: LawKind
     p1: float
     p2: float
 
     def __post_init__(self) -> None:
-        _family(self.kind)
-        a, b = self.p1, self.p2
+        family = _family(self.kind)
+        if not all(isinstance(p, numbers.Real) for p in (self.p1, self.p2)):
+            raise DomainError(f"parameters must be real numbers, got "
+                              f"({self.p1!r}, {self.p2!r})")
+        a, b = float(self.p1), float(self.p2)
+        object.__setattr__(self, "p1", a)
+        object.__setattr__(self, "p2", b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"parameters must be finite, got ({a}, {b})")
-        if self.kind is LawKind.UNIFORM:
-            if not b > a:
-                raise DomainError(f"uniform law requires b > a, got ({a}, {b})")
-        elif not (a > 0.0 and b > 0.0):
-            raise DomainError(
-                f"{self.kind.value} law requires a > 0 and b > 0, got ({a}, {b})")
+        if not family.in_domain(a, b):
+            raise DomainError(f"{self.kind.value} law requires "
+                              f"{family.domain}, got ({a}, {b})")
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.p1:g}, {self.p2:g})"
@@ -195,15 +183,29 @@ class _Family:
     #: (mu, sigma^2) -> the historical printed coefficients, for laws
     #: whose printed coefficients are not the canonical gradient.
     verbatim = None
+    #: The parameter domain, as :class:`LawSpec` names it when it refuses
+    #: parameters outside :meth:`in_domain`.
+    domain = "a > 0 and b > 0"
+
+    def in_domain(self, a: float, b: float) -> bool:
+        return a > 0.0 and b > 0.0
 
     def support(self, a, b, xs: np.ndarray) -> np.ndarray:
         """Mask of the points of ``xs`` where :meth:`density` holds: the
         closed support of a Uniform law, the open support of the others."""
-        return xs > 0.0
+        return (xs > 0.0) & (xs < np.inf)
 
     def at_edges(self, a, b, xs: np.ndarray, out: np.ndarray) -> None:
         """Writes into ``out`` the pdf at the points of ``xs`` on an edge
         of the support, where :meth:`density` does not hold."""
+
+    def _edge(self, s, edge, value, xs, out):
+        """Writes into ``out`` the pdf at the points of ``xs`` equal to
+        ``edge``, for a density that behaves like |x - edge|^(s-1) there:
+        ``value()`` when s = 1, +inf when s < 1 (and 0, already in ``out``,
+        when s > 1)."""
+        if s <= 1.0:
+            out[xs == edge] = value() if s == 1.0 else np.inf
 
     def check_quadrature(self, law: LawSpec) -> None:
         """Refuses a law whose density the exact-quadrature rule cannot
@@ -211,11 +213,12 @@ class _Family:
 
 
 class _Gamma(_Family):
+    """Gamma(a, b): shape a > 0, **rate** b > 0, density
+    b^a x^(a-1) e^(-bx) / G(a).  Estimator map (Xbar^2 / S2, Xbar / S2);
+    the squeeze rejection sampler of :mod:`momest.rng`."""
+
     def at_edges(self, a, b, xs, out):
-        if a == 1.0:
-            out[xs == 0.0] = b
-        elif a < 1.0:
-            out[xs == 0.0] = np.inf
+        self._edge(a, 0.0, lambda: b, xs, out)
 
     def density(self, a, b):
         c0 = a * math.log(b) - special.ln_gamma(a)
@@ -264,17 +267,19 @@ class _Gamma(_Family):
 
 
 class _Beta(_Family):
+    """Beta(a, b): a, b > 0 on [0, 1].  Estimator map
+    (Xbar (Xbar - M2) / V, (1 - Xbar)(Xbar - M2) / V) with the *biased*
+    variance V = M2 - Xbar^2 in the denominator; sampled as the two-Gamma
+    ratio G1 / (G1 + G2)."""
+
     unbounded_above = False
 
     def support(self, a, b, xs):
         return (xs > 0.0) & (xs < 1.0)
 
     def at_edges(self, a, b, xs, out):
-        for edge, shape in ((0.0, a), (1.0, b)):
-            if shape == 1.0:
-                out[xs == edge] = math.exp(-_ln_beta(a, b))
-            elif shape < 1.0:
-                out[xs == edge] = np.inf
+        for edge, s in ((0.0, a), (1.0, b)):
+            self._edge(s, edge, lambda: math.exp(-_ln_beta(a, b)), xs, out)
 
     def density(self, a, b):
         ln_b = _ln_beta(a, b)
@@ -342,7 +347,15 @@ class _Beta(_Family):
 
 
 class _Uniform(_Family):
+    """Uniform(a, b): any a < b.  (Some references additionally restrict
+    a > 0; nothing here needs it, so it is not enforced.)  Estimator map
+    Xbar -/+ sqrt(3) * sqrt(S2)."""
+
     unbounded_above = False
+    domain = "b > a"
+
+    def in_domain(self, a, b):
+        return b > a
 
     def support(self, a, b, xs):
         return (xs >= a) & (xs <= b)
@@ -388,13 +401,16 @@ class _Uniform(_Family):
 
 
 class _Fisher(_Family):
+    """Fisher(a, b): degrees of freedom a, b > 0, the ratio (Z1/a)/(Z2/b)
+    of two independent chi-squares, which is also how it is sampled.  The
+    density is the standard F density; the k-th moment exists only for
+    b > 2k.  Estimator map (2 Xbar^2 / (S2 (2 - Xbar) - Xbar^2 (Xbar - 1)),
+    2 Xbar / (Xbar - 1))."""
+
     moment_constraint = "b > {bound}"
 
     def at_edges(self, a, b, xs, out):
-        if a == 2.0:
-            out[xs == 0.0] = 1.0
-        elif a < 2.0:
-            out[xs == 0.0] = np.inf
+        self._edge(0.5 * a, 0.0, lambda: 1.0, xs, out)
 
     def density(self, a, b):
         half_a, half_b = 0.5 * a, 0.5 * b
@@ -403,8 +419,9 @@ class _Fisher(_Family):
                                 - (half_a + half_b) * np.log1p(a * x / b))
 
     def cdf(self, a, b, xs):
-        pos = np.maximum(xs, 0.0)
-        y = a * pos / (a * pos + b)
+        ax = a * np.maximum(xs, 0.0)
+        with np.errstate(invalid="ignore"):  # inf / inf at x = +inf
+            y = np.where(ax < np.inf, ax / (ax + b), 1.0)
         return np.asarray(special.reg_inc_beta(0.5 * a, 0.5 * b, y))
 
     def quantile(self, a, b, us):
@@ -536,11 +553,8 @@ def quantile(law: LawSpec, u: ArrayLike) -> ArrayLike:
 
 def sample(law: LawSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from ``law``; identical seeds give identical arrays.
-
-    Gamma uses the squeeze rejection sampler, Beta the two-Gamma ratio
-    G1/(G1+G2), Fisher the scaled chi-square quotient (Z1/a)/(Z2/b); the
-    exact draw algorithm is documented in :mod:`momest.rng`.
-    """
+    Each law's record names its sampler; the exact draw algorithm is
+    documented in :mod:`momest.rng`."""
     return sample_rows(law, n, [seed])[0]
 
 

@@ -22,6 +22,7 @@ records of row blocks and thread ranges merge in replication order.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,6 +79,12 @@ class SimulationConfig:
     sigma_methods: Tuple[SigmaMethod, ...] = DEFAULT_SIGMA_METHODS
 
     def __post_init__(self) -> None:
+        for name in ("n", "replications", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.replications < 2:

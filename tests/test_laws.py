@@ -3,6 +3,7 @@ laws."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ class TestPdf:
         with pytest.raises(DomainError) as info:
             func(law, x)
         assert str(info.value) == f"x must not be NaN, got x={x}"
+
+    @pytest.mark.parametrize("law", ACCEPTANCE_LAWS, ids=str)
+    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: np.array([x])],
+                             ids=["scalar", "array"])
+    def test_infinite_points(self, law, wrap):
+        """The density vanishes at both infinities and the cdf runs from
+        0 to 1, without an inf - inf or inf / inf on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, density, mass in ((-math.inf, 0.0, 0.0),
+                                     (math.inf, 0.0, 1.0)):
+                assert np.all(pdf(law, wrap(x)) == density)
+                assert np.all(cdf(law, wrap(x)) == mass)
 
     def test_fisher_normalization(self):
         law = LawSpec.fisher(5.0, 10.0)

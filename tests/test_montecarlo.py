@@ -171,6 +171,46 @@ class TestDeterminism:
         assert r1.error_a == r2.error_a
 
 
+class TestEqualConfigurationsEqualBytes:
+    """A configuration is stored in its canonical types, floats for the
+    law's parameters and ints for the counts and the seed, so equal
+    configurations write equal bundles; a count or seed of another type
+    is refused before a replication runs."""
+
+    @staticmethod
+    def bundle(tmp_path, law, n=20, replications=10, master_seed=5):
+        cfg = SimulationConfig(law=law, n=n, replications=replications,
+                               master_seed=master_seed)
+        out = tmp_path / f"{law!r}{n!r}{replications!r}{master_seed!r}"
+        write_report(run_simulation(cfg), out)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("law", [
+        LawSpec.gamma(2, 3),
+        LawSpec.gamma(np.int64(2), np.float32(3.0)),
+    ], ids=["int", "numpy"])
+    def test_parameter_types(self, tmp_path, law):
+        assert law == GAMMA23
+        assert type(law.p1) is float and type(law.p2) is float
+        assert self.bundle(tmp_path, law) == self.bundle(tmp_path, GAMMA23)
+
+    def test_numpy_integer_counts(self, tmp_path):
+        numpy_counts = self.bundle(tmp_path, GAMMA23, n=np.int64(20),
+                                   replications=np.int64(10),
+                                   master_seed=np.int64(5))
+        assert numpy_counts == self.bundle(tmp_path, GAMMA23)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 20.0), ("replications", "10"), ("master_seed", 5.0),
+    ])
+    def test_non_integer_count_refused(self, field, value):
+        fields = dict(law=GAMMA23, n=20, replications=10, master_seed=5)
+        fields[field] = value
+        with pytest.raises(DomainError) as info:
+            SimulationConfig(**fields)
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
 class TestErrorTable:
     def test_exact_estimates(self):
         ea, eb = error_table([2.0, 2.0], [3.0, 3.0], 2.0, 3.0)

@@ -37,6 +37,8 @@ REFUSALS = {
                 "parameters must be finite, got (nan, 1.0)"),
     "law-inf": (lambda: LawSpec.fisher(2.0, INF), DomainError,
                 "parameters must be finite, got (2.0, inf)"),
+    "law-str": (lambda: LawSpec.gamma("2", 3), DomainError,
+                "parameters must be real numbers, got ('2', 3)"),
     "law-uniform": (lambda: LawSpec.uniform(1.0, 1.0), DomainError,
                     "uniform law requires b > a, got (1.0, 1.0)"),
     "law-gamma": (lambda: LawSpec.gamma(0.0, 1.0), DomainError,

@@ -192,13 +192,15 @@ def test_nan_probability_refused(call, message, prob):
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda x: special.ln_gamma(x), "ln_gamma requires x > 0, got {}"),
     (lambda x: reg_inc_gamma(2.0, x),
      "reg_inc_gamma requires x >= 0, got x={}"),
     (lambda x: reg_inc_beta(2.0, 3.0, x),
      "reg_inc_beta requires x in [0, 1], got x={}"),
     (lambda x: chisq_cdf(x, 3), "chisq_cdf requires x >= 0, got {}"),
     (lambda x: chisq_sf(x, 2), "chisq_sf requires x >= 0, got {}"),
-], ids=["reg_inc_gamma", "reg_inc_beta", "chisq_cdf", "chisq_sf"])
+], ids=["ln_gamma", "reg_inc_gamma", "reg_inc_beta", "chisq_cdf",
+        "chisq_sf"])
 @pytest.mark.parametrize("x", [NAN, np.array([0.5, NAN])],
                          ids=["scalar", "array"])
 def test_nan_point_refused(call, message, x):

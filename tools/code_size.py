@@ -1,4 +1,5 @@
-"""Print three size counts of the Python files of a source tree.
+"""Print three size counts of the Python files of a source tree, for each
+module and in total.
 
     python tools/code_size.py [DIR]        (DIR defaults to src/momest)
 
@@ -45,21 +46,27 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def sizes(directory: Path) -> tuple[int, int, int]:
-    total = non_blank = code = 0
+def module_sizes(directory: Path) -> dict[str, tuple[int, int, int]]:
+    """(lines, non-blank non-comment, code) of each module, by file name."""
+    out = {}
     for path in sorted(directory.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         physical = source.splitlines()
-        total += len(physical)
-        non_blank += sum(not _BLANK_OR_COMMENT.match(line)
-                         for line in physical)
-        code += code_lines(source)
-    return total, non_blank, code
+        out[path.name] = (len(physical),
+                          sum(not _BLANK_OR_COMMENT.match(line)
+                              for line in physical),
+                          code_lines(source))
+    return out
 
 
 def main(argv: list[str]) -> int:
     directory = Path(argv[0] if argv else "src/momest")
-    total, non_blank, code = sizes(directory)
+    per_module = module_sizes(directory)
+    width = max(map(len, per_module), default=0)
+    print(f"{'module':<{width}}  {'lines':>6}  {'non-blank':>9}  {'code':>6}")
+    for name, (lines, non_blank, code) in per_module.items():
+        print(f"{name:<{width}}  {lines:>6}  {non_blank:>9}  {code:>6}")
+    total, non_blank, code = map(sum, zip((0, 0, 0), *per_module.values()))
     print(f"lines: {total}")
     print(f"non-blank non-comment: {non_blank}")
     print(f"code: {code}")
