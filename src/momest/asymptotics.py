@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, MomestError,
                      QuadratureError)
-from .laws import (LawKind, LawSpec, _density_over, _family, _need,
-                   _parse, quantile, theoretical_moments)
+from .laws import (LawKind, LawSpec, _density_over, _family, _member,
+                   _need, _parse, quantile, theoretical_moments)
 from .rng import Workspace
 from .special import DEFAULT_QUAD_CONFIG, QuadratureConfig, _trapezoid_rows
 
@@ -178,7 +178,10 @@ def influence_pair(
     law: LawSpec,
     mode: CoefficientMode = CoefficientMode.CANONICAL,
 ) -> Tuple[QuadraticInfluence, QuadraticInfluence]:
-    """The influence functions (H, L) of (a_hat, b_hat) under ``law``."""
+    """The influence functions (H, L) of (a_hat, b_hat) under ``law``.
+    ``mode`` is a :class:`CoefficientMode` or its value; any other value
+    raises :class:`DomainError`."""
+    mode = _member(CoefficientMode, mode, "coefficient mode")
     mom = theoretical_moments(law)
     m1 = mom.require(1)
     m2 = mom.require(2)

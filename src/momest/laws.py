@@ -70,11 +70,19 @@ def _parse(enum, name: str, what: str, aliases=None):
     cased, or the value ``aliases`` maps that name to; any other name
     raises :class:`DomainError` naming the ``what`` and the valid values."""
     key = name.strip().lower()
+    return _member(enum, (aliases or {}).get(key, key), what, name)
+
+
+def _member(enum, value, what: str, shown=None):
+    """``value`` if it is a member of ``enum``, else the member whose value
+    it is; anything else raises :class:`DomainError` naming the ``what``,
+    ``shown`` (``value`` by default) and the valid values."""
     try:
-        return enum((aliases or {}).get(key, key))
+        return enum(value)
     except ValueError:
         valid = ", ".join(m.value for m in enum)
-        raise DomainError(f"unknown {what} {name!r}; expected one of {valid}")
+        shown = value if shown is None else shown
+        raise DomainError(f"unknown {what} {shown!r}; expected one of {valid}")
 
 
 @dataclass(frozen=True)
@@ -518,7 +526,8 @@ def pdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     xs = np.atleast_1d(raw)
     out = np.zeros_like(xs)
     inside = family.support(a, b, xs)
-    out[inside] = family.density(a, b)(xs[inside])
+    with np.errstate(over="ignore"):  # b x or a x / b is inf: density 0
+        out[inside] = family.density(a, b)(xs[inside])
     family.at_edges(a, b, xs, out)
     return special._finish(out.reshape(raw.shape), scalar)
 
@@ -539,7 +548,9 @@ def cdf(law: LawSpec, x: ArrayLike) -> ArrayLike:
     """Cumulative distribution function of ``law`` at ``x``.  A NaN ``x``
     raises :class:`DomainError`."""
     xs, scalar = _points(x)
-    return special._finish(_family(law.kind).cdf(law.p1, law.p2, xs), scalar)
+    with np.errstate(over="ignore"):  # b x or a x is inf: cdf 1
+        out = _family(law.kind).cdf(law.p1, law.p2, xs)
+    return special._finish(out, scalar)
 
 
 def quantile(law: LawSpec, u: ArrayLike) -> ArrayLike:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
@@ -36,7 +37,7 @@ from .asymptotics import (CoefficientMode, Covariance2, QuadraticInfluence,
 from .errors import (DegenerateSampleError, DomainError,
                      InsufficientDataError, MomestError)
 from .estimation import _require_finite, estimate_rows
-from .laws import LawSpec, sample_rows
+from .laws import LawSpec, _member, sample_rows
 from .rng import Workspace, _substream_seeds
 from .significance import (_marginal_core, _omnibus_core, _rejects,
                            _usable_variance, det_floor)
@@ -54,10 +55,12 @@ __all__ = [
     "silverman_bandwidth",
 ]
 
-#: Sample values per row block of the replication engine: 81 replications
-#: at n = 200, three at n = 5000, one at n >= 8193.  Larger blocks spend
-#: less per-call overhead per replication but spill the caches.
-ROW_BLOCK_VALUES = 16384
+#: Sample values per row block of the replication engine: 327 replications
+#: at n = 200, 13 at n = 5000, one at n >= 32769.  Larger blocks spend less
+#: per-call overhead per replication; the gamma sampler keeps its largest
+#: buffers cache-sized by running its first round in chunks of
+#: ``rng.FIRST_ROUND_VALUES`` values.
+ROW_BLOCK_VALUES = 65536
 
 #: Kernel values per chunk of :func:`parzen_density`.
 PARZEN_CHUNK_VALUES = 8192
@@ -71,6 +74,10 @@ DEFAULT_SIGMA_METHODS = (
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One replication study.  The coefficient mode and each sigma method
+    may be given as the enum member or its value and are stored as the
+    member; any other value raises :class:`DomainError`."""
+
     law: LawSpec
     n: int
     replications: int
@@ -79,6 +86,11 @@ class SimulationConfig:
     sigma_methods: Tuple[SigmaMethod, ...] = DEFAULT_SIGMA_METHODS
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficient_mode", _member(
+            CoefficientMode, self.coefficient_mode, "coefficient mode"))
+        object.__setattr__(self, "sigma_methods", tuple(
+            _member(SigmaMethod, m, "sigma method")
+            for m in self.sigma_methods))
         for name in ("n", "replications", "master_seed"):
             value = getattr(self, name)
             try:
@@ -226,11 +238,10 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
     Replications run in row blocks of ``ROW_BLOCK_VALUES // n`` samples
     (at least one): each block is drawn, estimated and reduced to its plugin
     statistics at once, giving the same bits as one replication at a time.
-    The blocks draw and reduce into one workspace, which lives as long as
-    this call.
+    The blocks draw and reduce into one workspace, see :func:`_workspace`.
     """
     rows = max(1, ROW_BLOCK_VALUES // n)
-    workspace = Workspace()
+    workspace = _workspace(n)
     parts = []
     for lo in range(j_lo, j_hi, rows):
         seeds = _substream_seeds(master_seed, lo, min(lo + rows, j_hi))
@@ -241,6 +252,25 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
             a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
             feasible.size - np.count_nonzero(feasible)))
     return parts
+
+
+_THREAD = threading.local()
+
+
+def _workspace(n: int) -> Workspace:
+    """The workspace of the calling thread's row blocks of n values a row.
+
+    For n <= ``ROW_BLOCK_VALUES`` the thread keeps one workspace for its
+    life, so that its studies after the first fault no buffer in; the
+    buffers stay within a few row blocks of values.  A larger n gets a
+    workspace of its own, freed with its study.
+    """
+    if n > ROW_BLOCK_VALUES:
+        return Workspace()
+    workspace = getattr(_THREAD, "workspace", None)
+    if workspace is None:
+        workspace = _THREAD.workspace = Workspace()
+    return workspace
 
 
 def _replicate(cfg: SimulationConfig, h: QuadraticInfluence,

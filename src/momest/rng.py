@@ -69,6 +69,10 @@ _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _TWO_M53 = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
 
+#: Most values per chunk of a gamma batch's first rejection round, whose
+#: three lanes of keys, shifts and uniforms then stay in the L2 cache.
+FIRST_ROUND_VALUES = 16384
+
 
 def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, in place on a uint64 array; ``t`` is
@@ -120,9 +124,12 @@ class Workspace:
 
     :meth:`take` hands out a view of a named buffer, which is allocated on
     first use and replaced only when a larger size is asked for, so a study
-    of equal row blocks allocates its buffers in its first block.  The
-    buffers hold no generator state.  A workspace must not be shared
-    between threads: give each its own.
+    of equal row blocks allocates its buffers in its first block.  A gamma
+    batch's first rejection round takes its key, shift and uniform buffers
+    at the size of one chunk of at most ``FIRST_ROUND_VALUES`` values, the
+    later rounds at the size of the rejected slots.  The buffers hold no
+    generator state.  A workspace must not be shared between threads: give
+    each its own.
     """
 
     def __init__(self):
@@ -168,21 +175,22 @@ class RowStreams:
     def rows(self) -> int:
         return self._seeds.size
 
-    def _draw(self, lanes: int, m, row=None) -> np.ndarray:
+    def _draw(self, lanes: int, m, row=None, span=slice(None)
+              ) -> np.ndarray:
         """Raw outputs of shape (lanes, P) for P pending slots, in the
         workspace: the slot of rank i in a row with m_r slots reads counter
-        c_r + 1 + t m_r + i in lane t.  With ``row`` None every row has
-        ``m`` slots (an int), laid out row after row; otherwise ``m`` holds
-        the count of every row and ``row`` the row of each slot, in
-        ascending order."""
+        c_r + 1 + t m_r + i in lane t.  With ``row`` None every row of the
+        slice ``span`` has ``m`` slots (an int), laid out row after row;
+        otherwise ``m`` holds the count of every row and ``row`` the row of
+        each slot, in ascending order."""
         ws = self._ws
         if row is None:
-            rows = self.rows
-            base = self._seeds + (self._counters + _U64(1)) * _GOLDEN
-            keys = ws.take("keys", (lanes, rows * m), _U64)
+            counters = self._counters[span]
+            base = self._seeds[span] + (counters + _U64(1)) * _GOLDEN
+            keys = ws.take("keys", (lanes, base.size * m), _U64)
             np.add(base[:, None], ws.steps(lanes * m).reshape(lanes, 1, m),
-                   out=keys.reshape(lanes, rows, m))
-            self._counters += _U64(lanes * m)
+                   out=keys.reshape(lanes, base.size, m))
+            counters += _U64(lanes * m)  # a view: advances those rows
         else:
             # slot p of the round has rank p - start_r in its row
             start = np.cumsum(m) - m
@@ -195,9 +203,10 @@ class RowStreams:
             self._counters += _U64(lanes) * m
         return _mix(keys, ws.take("shift", keys.shape, _U64))
 
-    def _uniform_lanes(self, lanes: int, m, row=None) -> np.ndarray:
+    def _uniform_lanes(self, lanes: int, m, row=None, span=slice(None)
+                       ) -> np.ndarray:
         """Uniforms of shape (lanes, P) in the workspace; see :meth:`_draw`."""
-        raw = self._draw(lanes, m, row)
+        raw = self._draw(lanes, m, row, span)
         return _to_uniforms(raw, self._ws.take("uniforms", raw.shape))
 
     def raw(self, count: int) -> np.ndarray:
@@ -218,12 +227,21 @@ class RowStreams:
 
     def gammas(self, shape: float, count: int, out=None) -> np.ndarray:
         """i.i.d. Gamma(shape, rate 1) deviates, written into ``out``, a
-        C-contiguous (rows, count) array, when given."""
+        C-contiguous (rows, count) array, when given.
+
+        The first round runs over chunks of whole rows, of at most
+        ``FIRST_ROUND_VALUES`` values (one row if a row is longer), so that
+        its workspace buffers stay cache-sized however many rows there are;
+        the later rounds then run once over the rejected slots of every
+        row.  Rows are independent streams, so the chunking changes no
+        draw."""
         if not shape > 0.0:
             raise DomainError(f"gamma shape must be > 0, got {shape}")
         rows, ws = self.rows, self._ws
         if out is None:
             out = np.empty((rows, count))
+        if not out.size:  # no slot to fill, no counter to advance
+            return out
         if shape < 1.0:
             self.gammas(shape + 1.0, count, out)
             boost = self.uniforms(count, ws.take("boost", out.shape))
@@ -236,40 +254,52 @@ class RowStreams:
         # that a later call of the same shape never regrows them
         ws.steps(max(3, rows) * count)
         flat = out.reshape(-1)
-        pending = None  # before the first round: every slot, in order
-        m, row = count, None
-        while True:
-            u1, u2, u = self._uniform_lanes(3, m, row)
-            x = _box_muller(u1, u2, u1)
-            v = np.multiply(x, c, out=u2)
-            v += 1.0
-            v **= 3
-            pos = np.greater(v, 0.0, out=ws.take("pos", v.shape, bool))
-            x2 = np.multiply(x, x, out=x)
-            bound = np.multiply(x2, 0.0331, out=ws.take("bound", v.shape))
-            bound *= x2
-            accept = np.less(u, np.subtract(1.0, bound, out=bound),
-                             out=ws.take("accept", v.shape, bool))
-            accept &= pos
-            pos ^= accept  # accept implies pos: now pos & ~accept
-            slow = np.flatnonzero(pos)
-            if slow.size:
-                vs = v[slow]
-                accept[slow] = np.log(u[slow]) < (
-                    0.5 * x2[slow] + d * (1.0 - vs + np.log(vs)))
-            if pending is None:  # slot p is candidate p: write in place
-                np.multiply(v, d, out=flat, where=accept)
-                pending = np.flatnonzero(np.logical_not(accept, out=pos))
-            else:
-                flat[pending[accept]] = d * v[accept]
-                pending = pending[~accept]
-            if not pending.size:
-                return out
+        step = max(1, FIRST_ROUND_VALUES // count)
+        pending = []
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            v, accept = self._candidates(d, c, count, span=slice(lo, hi))
+            # slot p is candidate p; a rejected slot is rewritten later
+            np.multiply(v, d, out=flat[lo * count:hi * count])
+            pending.append(np.flatnonzero(np.logical_not(accept, out=accept))
+                           + lo * count)
+        pending = np.concatenate(pending)
+        while pending.size:
             if rows == 1:
-                m = pending.size
+                v, accept = self._candidates(d, c, pending.size)
             else:
                 row = pending // count
-                m = np.bincount(row, minlength=rows).astype(_U64)
+                v, accept = self._candidates(
+                    d, c, np.bincount(row, minlength=rows).astype(_U64), row)
+            flat[pending[accept]] = d * v[accept]
+            pending = pending[~accept]
+        return out
+
+    def _candidates(self, d: float, c: float, m, row=None, span=slice(None)
+                    ) -> tuple:
+        """One squeeze round of Gamma(d + 1/3) candidates for the slots of
+        :meth:`_draw`: ``v`` and the acceptance mask, both in the
+        workspace; slot p's candidate is ``d * v[p]``."""
+        ws = self._ws
+        u1, u2, u = self._uniform_lanes(3, m, row, span)
+        x = _box_muller(u1, u2, u1)
+        v = np.multiply(x, c, out=u2)
+        v += 1.0
+        v **= 3
+        pos = np.greater(v, 0.0, out=ws.take("pos", v.shape, bool))
+        x2 = np.multiply(x, x, out=x)
+        bound = np.multiply(x2, 0.0331, out=ws.take("bound", v.shape))
+        bound *= x2
+        accept = np.less(u, np.subtract(1.0, bound, out=bound),
+                         out=ws.take("accept", v.shape, bool))
+        accept &= pos
+        pos ^= accept  # accept implies pos: now pos & ~accept
+        slow = np.flatnonzero(pos)
+        if slow.size:
+            vs = v[slow]
+            accept[slow] = np.log(u[slow]) < (
+                0.5 * x2[slow] + d * (1.0 - vs + np.log(vs)))
+        return v, accept
 
 
 class Stream:

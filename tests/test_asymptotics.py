@@ -122,6 +122,18 @@ class TestInfluencePair:
             hv, lv = influence_pair(law, CoefficientMode.VERBATIM)
             assert (hv, lv) == (hc, lc)
 
+    @pytest.mark.parametrize("mode", list(CoefficientMode), ids=str)
+    def test_mode_given_by_value(self, mode):
+        """A mode's plain value selects that mode: "canonical" gives the
+        gradient's c1 = 18 for Gamma(2, 3)'s H, not the verbatim 33."""
+        assert influence_pair(GAMMA23, mode.value) == \
+            influence_pair(GAMMA23, mode)
+
+    @pytest.mark.parametrize("mode", ["paper", "Canonical", None])
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(DomainError, match="unknown coefficient mode"):
+            influence_pair(GAMMA23, mode)
+
     @pytest.mark.parametrize("law", list(FROZEN), ids=str)
     def test_centering_by_quadrature(self, law):
         from momest.asymptotics import _expectations

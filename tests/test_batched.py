@@ -17,7 +17,7 @@ from momest import (Covariance2, DegenerateSampleError, LawKind, LawSpec,
                     estimate_rows, influence_pair, plugin_rows,
                     run_simulation, sample, sample_rows, substream_seed,
                     write_report)
-from momest import montecarlo
+from momest import montecarlo, rng
 from momest.montecarlo import (_Replicates, _merge, _simulate_block,
                                _thread_ranges)
 
@@ -91,6 +91,32 @@ class TestRowSampler:
         assert [int(c) for c in streams._counters] == \
             [s.consumed for s in singles]
 
+    # the gamma shapes each law's sampler draws, in order
+    CHUNK_SHAPES = {"gamma(2, 3)": (2.0,), "gamma(0.5, 2)": (0.5,),
+                    "beta(2, 3)": (2.0, 3.0), "fisher(5, 12)": (2.5, 6.0)}
+
+    @pytest.mark.parametrize("shapes", CHUNK_SHAPES.values(),
+                             ids=CHUNK_SHAPES.keys())
+    @pytest.mark.parametrize("rows,count", [(13, 5000), (200, 200),
+                                            (1, 20000)])
+    def test_rows_spanning_first_round_chunks(self, shapes, rows, count):
+        """The first rejection round runs over chunks of whole rows: 13 x
+        5000 values span four chunks, 200 x 200 values span three whose
+        size 81 x 200 does not divide ``FIRST_ROUND_VALUES``, and one row
+        of 20000 values is a chunk longer than the limit.  Every row still
+        draws what its own stream draws, in a second batch too, and
+        consumes as many outputs."""
+        assert rows * count > rng.FIRST_ROUND_VALUES
+        row_seeds = seeds(rows)
+        streams = RowStreams(row_seeds)
+        singles = [Stream(s) for s in row_seeds]
+        for shape in shapes * 2:
+            block = streams.gammas(shape, count)
+            for r, single in enumerate(singles):
+                assert block[r].tobytes() == \
+                    single.gammas(shape, count).tobytes()
+        assert [int(c) for c in streams._counters] == \
+            [s.consumed for s in singles]
 
     def test_seed_array_equals_python_ints(self):
         """A uint64 seed array is taken as it is; other seeds are reduced
@@ -157,14 +183,19 @@ class TestWorkspace:
                 assert stream_reference(law, n, seed).tobytes() == want
 
     @pytest.mark.parametrize("law", LAWS, ids=str)
-    @pytest.mark.parametrize("n,b_total", [(5000, 10), (200, 250), (20, 2500)])
-    def test_blocks_reuse_the_first_blocks_buffers(self, law, n, b_total,
+    @pytest.mark.parametrize("n,b_small", [(5000, 10), (200, 250), (20, 2500)])
+    def test_blocks_reuse_the_first_blocks_buffers(self, law, n, b_small,
                                                    monkeypatch):
         """Every block of one ``_simulate_block`` call draws and reduces
         into the same workspace.  After the first block no sampler buffer
         is replaced, the short last block included; the plugin buffers,
         sized by the feasible rows, only when a block has more feasible
-        rows than every block before it."""
+        rows than every block before it.
+
+        ``b_small`` replications fill 2.5 to 3.1 blocks of 16384 values;
+        the study runs as many more as ``ROW_BLOCK_VALUES`` is larger, so
+        that it has at least three blocks and a short last one."""
+        b_total = b_small * montecarlo.ROW_BLOCK_VALUES // 16384
         seen = []
 
         def spy(x, h, l, workspace):
@@ -177,6 +208,7 @@ class TestWorkspace:
         _simulate_block(law, n, MASTER, 1, b_total + 1, h, l)
         rows = montecarlo.ROW_BLOCK_VALUES // n
         assert len(seen) == -(-b_total // rows) >= 3
+        assert b_total % rows != 0
         workspace, most, before = seen[0]
         for ws, feasible, arrays in seen[1:]:
             assert ws is workspace
@@ -206,6 +238,25 @@ class TestWorkspace:
         assert len(by_thread) == 2
         assert all(len(found) == 1 for found in by_thread.values())
         assert len(set.union(*by_thread.values())) == 2
+
+
+    def test_thread_keeps_its_workspace_across_studies(self):
+        """Studies of one thread share its workspace up to
+        ``ROW_BLOCK_VALUES`` values a row; a longer row gets its own, and
+        another thread its own."""
+        mine = montecarlo._workspace(200)
+        limit = montecarlo.ROW_BLOCK_VALUES
+        assert montecarlo._workspace(limit) is mine
+        assert montecarlo._workspace(2) is mine
+        assert montecarlo._workspace(limit + 1) is not mine
+        assert montecarlo._workspace(limit + 1) is not \
+            montecarlo._workspace(limit + 1)
+        found = []
+        thread = threading.Thread(
+            target=lambda: found.append(montecarlo._workspace(200)))
+        thread.start()
+        thread.join()
+        assert found[0] is not mine
 
 
 class TestRowEstimates:
@@ -308,9 +359,10 @@ class TestBlocks:
         assert 0 < got.infeasible < 90
 
     def test_workers_equal_serial(self, tmp_path, monkeypatch):
-        """n = 9000 puts one row in a block; B = 2 with 3 workers has more
-        workers than replications.  Enough CPUs are reported that every
-        worker count gets its own threads."""
+        """n = 9000 puts seven rows in a block, so B = 37 and 400 end in a
+        short block; B = 2 with 3 workers has more workers than
+        replications.  Enough CPUs are reported that every worker count
+        gets its own threads."""
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
         for n, b_total in itertools.product((3, 200, 9000), (2, 37, 400)):
             cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=n,

@@ -3,6 +3,7 @@ laws."""
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -101,6 +102,20 @@ class TestPdf:
                                      (math.inf, 0.0, 1.0)):
                 assert np.all(pdf(law, wrap(x)) == density)
                 assert np.all(cdf(law, wrap(x)) == mass)
+
+    @pytest.mark.parametrize("law", ACCEPTANCE_LAWS, ids=str)
+    @pytest.mark.parametrize("x", [1e300, 1e308, sys.float_info.max])
+    def test_huge_points(self, law, x):
+        """Where b x or a x overflows to inf, the density is 0 and the cdf
+        1, with no overflow warning; finite points beside them keep their
+        values."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdf(law, x) == 0.0 and cdf(law, x) == 1.0
+            for func in (pdf, cdf):
+                both = func(law, np.array([x, 0.5]))
+                assert both[0] == func(law, x)
+                assert both[1] == func(law, 0.5)
 
     def test_fisher_normalization(self):
         law = LawSpec.fisher(5.0, 10.0)

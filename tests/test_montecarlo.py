@@ -173,9 +173,10 @@ class TestDeterminism:
 
 class TestEqualConfigurationsEqualBytes:
     """A configuration is stored in its canonical types, floats for the
-    law's parameters and ints for the counts and the seed, so equal
-    configurations write equal bundles; a count or seed of another type
-    is refused before a replication runs."""
+    law's parameters, ints for the counts and the seed, and enum members
+    for the coefficient mode and the sigma methods, so equal
+    configurations write equal bundles; a count or seed of another type,
+    or an unknown mode or method, is refused before a replication runs."""
 
     @staticmethod
     def bundle(tmp_path, law, n=20, replications=10, master_seed=5):
@@ -210,6 +211,43 @@ class TestEqualConfigurationsEqualBytes:
             SimulationConfig(**fields)
         assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
+
+    def test_enum_values_canonicalised(self, tmp_path):
+        """A coefficient mode and sigma methods given by their values are
+        stored as the enum members, so the study runs in that mode and its
+        bundle is written."""
+        fields = dict(law=GAMMA23, n=20, replications=10, master_seed=5)
+        by_value = SimulationConfig(**fields, coefficient_mode="canonical",
+                                    sigma_methods=["plugin", "replication"])
+        by_member = SimulationConfig(
+            **fields, coefficient_mode=CoefficientMode.CANONICAL,
+            sigma_methods=(SigmaMethod.PLUGIN, SigmaMethod.REPLICATION))
+        assert by_value == by_member
+        assert type(by_value.coefficient_mode) is CoefficientMode
+        assert type(by_value.sigma_methods) is tuple
+        assert all(type(m) is SigmaMethod for m in by_value.sigma_methods)
+        bundles = []
+        for cfg in (by_value, by_member):
+            out = tmp_path / str(len(bundles))
+            write_report(run_simulation(cfg), out)
+            bundles.append({p.name: p.read_bytes()
+                            for p in sorted(out.iterdir())})
+        assert bundles[0] == bundles[1]
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("coefficient_mode", "paper", "coefficient mode"),
+        ("sigma_methods", ("plugin", "bogus"), "sigma method"),
+    ])
+    def test_unknown_enum_value_refused(self, monkeypatch, field, value,
+                                        what):
+        def no_block(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", no_block)
+        fields = dict(law=GAMMA23, n=20, replications=10, master_seed=5)
+        fields[field] = value
+        with pytest.raises(DomainError, match=f"unknown {what}"):
+            run_simulation(SimulationConfig(**fields))
 
 class TestErrorTable:
     def test_exact_estimates(self):
