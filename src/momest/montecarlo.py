@@ -247,7 +247,9 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
         seeds = _substream_seeds(master_seed, lo, min(lo + rows, j_hi))
         x = sample_rows(law, n, seeds, workspace)
         a_hat, b_hat, feasible = estimate_rows(law.kind, x)
-        s11, s22, s12 = plugin_rows(x[feasible], h, l, workspace)
+        if not feasible.all():
+            x = x[feasible]
+        s11, s22, s12 = plugin_rows(x, h, l, workspace)
         parts.append(_Replicates(
             a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
             feasible.size - np.count_nonzero(feasible)))

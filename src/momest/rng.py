@@ -199,7 +199,7 @@ class RowStreams:
             keys = ws.take("keys", (lanes, row.size), _U64)
             np.take(base + lane * m * _GOLDEN, row, axis=1, out=keys,
                     mode="clip")  # "raise" would buffer the output
-            keys += ws.steps(row.size)
+            keys += np.arange(row.size, dtype=_U64) * _GOLDEN
             self._counters += _U64(lanes) * m
         return _mix(keys, ws.take("shift", keys.shape, _U64))
 
@@ -250,9 +250,6 @@ class RowStreams:
             return out
         d = shape - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
-        # the most counter offsets any round can read, taken up front so
-        # that a later call of the same shape never regrows them
-        ws.steps(max(3, rows) * count)
         flat = out.reshape(-1)
         step = max(1, FIRST_ROUND_VALUES // count)
         pending = []
