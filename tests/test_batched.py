@@ -350,6 +350,19 @@ class TestBlocks:
         assert_blocks_equal(got, reference_block(law, n, MASTER, 1,
                                                  b_total + 1, h, l))
 
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("n", (200, 5000))
+    def test_several_engine_blocks_equal_reference(self, law, n):
+        """Two full row blocks of ``ROW_BLOCK_VALUES`` values and a short
+        third one, merged in order."""
+        rows = montecarlo.ROW_BLOCK_VALUES // n
+        b_total = 2 * rows + 4
+        h, l = influence_pair(law)
+        parts = _simulate_block(law, n, MASTER, 1, b_total + 1, h, l)
+        assert len(parts) == 3
+        assert_blocks_equal(_merge(parts), reference_block(
+            law, n, MASTER, 1, b_total + 1, h, l))
+
     def test_infeasible_rows_counted(self):
         law = LawSpec.fisher(5.0, 10.0)
         h, l = influence_pair(law)
