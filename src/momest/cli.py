@@ -46,7 +46,7 @@ from .estimation import empirical_moments, estimate
 from .laws import LawKind, LawSpec
 from .montecarlo import (DEFAULT_SIGMA_METHODS, SimulationConfig,
                          run_simulation)
-from .reportio import _sigma_dict, render_json, write_report
+from .reportio import FILE_NAMES, _sigma_dict, render_json, write_report
 from .significance import marginal_test, omnibus_test
 
 EXIT_OK = 0
@@ -373,6 +373,10 @@ def cmd_simulate(args) -> int:
         if part.exists() and not part.is_dir():
             raise MomestError(f"cannot write the report to {outdir}: {part} "
                               f"is not a directory")
+    for name in FILE_NAMES:
+        if (outdir / name).is_dir():
+            raise MomestError(f"cannot write the report to {outdir}: "
+                              f"{outdir / name} is a directory")
     report = run_simulation(cfg, workers=args.workers)
     paths = write_report(report, outdir)
     print(f"{law}  n={cfg.n}  replications={cfg.replications}  "

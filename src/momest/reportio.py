@@ -15,11 +15,20 @@ runs are byte-identical:
   covariance estimates and all tables (schema_version "1")
 
 Floats are rendered with ``repr``, the shortest round-trip decimal form.
+
+A file that already exists is rewritten in place: it is opened without
+truncation, overwritten and then cut to its new length, which on ext4 costs
+a small fraction of truncating it first (that makes the kernel flush it on
+close).  A crash in the middle of a write can leave a file that mixes the
+new bytes with the tail of the old ones, as a truncating write can leave a
+short one.  A run whose configuration gives no ratios removes any
+``ratio_table.csv`` left by an earlier run.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -34,15 +43,32 @@ __all__ = ["write_report", "report_to_dict"]
 SCHEMA_VERSION = "1"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """``rows`` is a 2-D float array, or lists of str and float cells."""
-    if isinstance(rows, np.ndarray):
-        body = [",".join(map(repr, row)) for row in rows.tolist()]
-    else:
-        body = [",".join(cell if isinstance(cell, str) else repr(float(cell))
-                         for cell in row) for row in rows]
-    path.write_text("\n".join([",".join(header), *body]) + "\n",
-                    encoding="utf-8")
+#: The files of a bundle, in the order ``write_report`` writes them.
+FILE_NAMES = ("error_table.csv", "ratio_table.csv", "pvalues.csv",
+              "omnibus.csv", "qq_a.csv", "parzen_a.csv", "qq_b.csv",
+              "parzen_b.csv", "report.json")
+
+
+def _num(value) -> str:
+    return repr(float(value))
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each value of a float column."""
+    return list(map(repr, column.tolist()))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text of a header line and rows of rendered cells."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place and cut the file to
+    the length written."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
 
 
 def _sigma_dict(sigma: Optional[Covariance2]) -> Optional[dict]:
@@ -94,43 +120,50 @@ def render_json(document: dict) -> str:
 
 
 def write_report(report: SimulationReport, outdir) -> list[Path]:
-    """Write all report files into ``outdir``; returns the paths written."""
+    """Write all report files into ``outdir``; returns the paths written.
+
+    Every file is rendered before the first one is written, and each is
+    rewritten in place (see the module docstring).  When ``report.ratios``
+    is None no ratio table is written, and a ``ratio_table.csv`` already in
+    ``outdir`` is removed, so the directory holds exactly the files
+    returned."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit_csv(name, header, rows):
-        path = out / name
-        _write_csv(path, header, rows)
-        written.append(path)
-
-    emit_csv("error_table.csv", ["parameter", "me", "mae", "rmse", "sd"],
-             [["a", report.error_a.me, report.error_a.mae,
-               report.error_a.rmse, report.error_a.sd],
-              ["b", report.error_b.me, report.error_b.mae,
-               report.error_b.rmse, report.error_b.sd]])
-
+    files = {"error_table.csv": _csv(
+        "parameter,me,mae,rmse,sd",
+        [[param, *map(_num, (e.me, e.mae, e.rmse, e.sd))]
+         for param, e in (("a", report.error_a), ("b", report.error_b))])}
     if report.ratios is not None:
-        emit_csv("ratio_table.csv", ["ratio", "value"],
-                 [[k, v] for k, v in report.ratios.items()])
-
-    emit_csv("pvalues.csv", ["parameter", "sigma", "rate"],
-             [[*key.split(":"), rate]
-              for key, rate in report.marginal_rates.items()])
-
-    emit_csv("omnibus.csv", ["sigma", "rate"],
-             [[key, "" if rate is None else rate]
-              for key, rate in report.omnibus_rates.items()])
-
+        files["ratio_table.csv"] = _csv(
+            "ratio,value", [[k, _num(v)] for k, v in report.ratios.items()])
+    files["pvalues.csv"] = _csv(
+        "parameter,sigma,rate",
+        [[*key.split(":"), _num(rate)]
+         for key, rate in report.marginal_rates.items()])
+    files["omnibus.csv"] = _csv(
+        "sigma,rate", [[key, "" if rate is None else _num(rate)]
+                       for key, rate in report.omnibus_rates.items()])
+    # both deviation arrays hold one value per feasible replication, so the
+    # qq files share their quantile column and the parzen files their grid
+    quantiles = grid = None
     for param, dev in (("a", report.dev_a), ("b", report.dev_b)):
         sd = float(np.std(dev, ddof=1))
         std = dev / sd if sd > 0.0 else dev
-        emit_csv(f"qq_{param}.csv", ["theoretical", "empirical"],
-                 qq_plot_data(std))
-        emit_csv(f"parzen_{param}.csv", ["x", "density"],
-                 parzen_density(std, -4.0, 4.0, 201))
+        qq = qq_plot_data(std)
+        density = parzen_density(std, -4.0, 4.0, 201)
+        if quantiles is None:
+            quantiles, grid = _cells(qq[:, 0]), _cells(density[:, 0])
+        files[f"qq_{param}.csv"] = _csv("theoretical,empirical",
+                                        zip(quantiles, _cells(qq[:, 1])))
+        files[f"parzen_{param}.csv"] = _csv("x,density",
+                                            zip(grid, _cells(density[:, 1])))
+    files["report.json"] = render_json(report_to_dict(report))
 
-    path = out / "report.json"
-    path.write_text(render_json(report_to_dict(report)), encoding="utf-8")
-    written.append(path)
+    if report.ratios is None:
+        (out / "ratio_table.csv").unlink(missing_ok=True)
+    written = []
+    for name, text in files.items():
+        path = out / name
+        _write(path, text)
+        written.append(path)
     return written

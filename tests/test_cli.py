@@ -21,6 +21,7 @@ import momest
 from momest import LawSpec, SampleParseError, sample
 from momest.cli import (EXIT_INPUT, EXIT_OK, EXIT_REJECT, _cells, _number,
                         main, read_sample)
+from momest.reportio import FILE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -756,6 +757,45 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err and "not a directory" in err
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", FILE_NAMES)
+    def test_bundle_file_name_that_is_a_directory_refused_before_the_study(
+            self, capsys, tmp_path, monkeypatch, name):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(momest.cli, "run_simulation", no_study)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, stdout, err = run_cli(
+            capsys, "simulate", "gamma", "2", "3", "--n", "20", "-B", "10",
+            "--seed", "1", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / name) in err and "is a directory" in err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert list((out / name).iterdir()) == []
+
+    def test_rerun_without_ratios_leaves_no_ratio_table(self, capsys,
+                                                        tmp_path):
+        args = ["simulate", "gamma", "2", "3", "--n", "30", "-B", "20",
+                "--seed", "4"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_cli(capsys, *args, "--out", str(out), "--sigma-methods",
+                "exact-moments", "exact-quadrature", "plugin", "replication")
+        assert (out / "ratio_table.csv").is_file()
+        code, stdout, _ = run_cli(capsys, *args, "--out", str(out),
+                                  "--sigma-methods", "plugin")
+        assert code == EXIT_OK
+        assert "wrote 8 files" in stdout
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            set(FILE_NAMES) - {"ratio_table.csv"})
+        assert json.loads((out / "report.json").read_text())["ratios"] is None
+        run_cli(capsys, *args, "--out", str(fresh), "--sigma-methods",
+                "plugin")
+        for path in out.iterdir():
+            assert path.read_bytes() == (fresh / path.name).read_bytes()
 
     def test_repeated_sigma_method_refused(self, capsys, tmp_path):
         out = tmp_path / "r"

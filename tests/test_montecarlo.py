@@ -432,11 +432,12 @@ class TestCsvTables:
         """A float array is written with the bytes of the per-cell ``repr``
         of each numpy scalar, signed zero, subnormals, large and small
         magnitudes and nan included."""
-        from momest.reportio import _write_csv
+        from momest.reportio import _cells, _csv, _write
         cells = np.array([-0.0, 5e-324, 1e16, 1e-5, 123.0, float("nan"),
                           -2.5, 0.1 + 0.2])
         table = np.column_stack([cells, cells[::-1]])
-        _write_csv(tmp_path / "t.csv", ["x", "y"], table)
+        _write(tmp_path / "t.csv",
+               _csv("x,y", zip(_cells(table[:, 0]), _cells(table[:, 1]))))
         want = "x,y\n" + "".join(
             ",".join(repr(float(c)) for c in row) + "\n" for row in table)
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
