@@ -63,10 +63,14 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
+def _without_truncation(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 over ``path`` in place and cut the file to
     the length written."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+    with open(path, "wb", opener=_without_truncation) as fh:
         fh.write(text.encode("utf-8"))
         fh.truncate()
 
