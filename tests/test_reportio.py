@@ -35,4 +35,3 @@ def test_rewrite_in_place_equals_fresh_bundle(tmp_path, first, second):
     shrunk = first > second
     assert all((len(after[name]) < len(before[name])) == shrunk
                for name in ("qq_a.csv", "qq_b.csv"))
-
