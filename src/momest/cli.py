@@ -18,6 +18,11 @@ Sample files are UTF-8, with or without a leading byte-order mark, one
 decimal per line; ``#`` starts a comment.  With ``--column NAME`` the input
 is parsed as a headered CSV instead, reading the one column headed NAME;
 blank cells and short rows are skipped.  Errors name the line of the file.
+A sample is read in up to three passes (see :func:`read_sample`): numpy's C
+reader on the path itself, for plain and CSV files whose bytes show that it
+splits them as the Python reader does; otherwise one Python pass over the
+cells; and, if a cell is bad, a walk over the cells in file order that
+raises the first bad cell's error with its line.
 The only environment variable consulted is ``MOMEST_OUTDIR``, the default
 output directory of ``simulate``.
 """
@@ -25,6 +30,7 @@ output directory of ``simulate``.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import os
@@ -58,6 +64,22 @@ EXIT_SINGULAR = 4
 #: boundaries of ``str.splitlines``.  A comment becomes one space, so that
 #: one between "\r" and "\n" does not join them into one boundary.
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+#: Bytes after which :func:`_read_in_c` leaves a file to the Python pass:
+#: NUL, and the ASCII line boundaries of ``str.splitlines`` that do not
+#: end a line of a text-mode file.
+_REFUSED = (b"\0", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+#: Suffixes of the files that ``np.loadtxt`` opens through a decompressor.
+_PACKED = (".bz2", ".gz", ".lzma", ".xz")
+
+#: The first line of a file, with its end.
+_FIRST_LINE = re.compile(rb"[^\n\r]*[\n\r]?")
+
+_COMMA, _LF, _CR = b",\n\r"
+
+#: Bytes per step of :func:`_blank_cell`.
+_SCAN_BYTES = 1 << 16
 
 
 def _choice(parse):
@@ -139,8 +161,8 @@ def read_sample(path: str, column: Optional[str]) -> np.ndarray:
 
     The values come from the first of three passes that accepts the file:
 
-    1. a CSV file that :func:`_column_in_c` can read gives its column
-       through numpy's C text reader in one call;
+    1. a file whose bytes pass the checks of :func:`_read_in_c`, plain or
+       CSV, is read by numpy's C text reader from its path in one call;
     2. otherwise the stripped cells that are not blank go through
        ``float`` in one Python pass;
     3. if the first pass that ran refuses a cell, a value is not finite,
@@ -152,54 +174,112 @@ def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     ``PyOS_string_to_double``, so passes 1 and 2 give the same bits.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
-    values = None if column is None else _column_in_c(text, path, column)
+    values = _read_in_c(data, path, column)
     if values is None:
-        cells, _ = _cells(text, path, column)
+        cells, _ = _cells(_text(data, path), path, column)
         stripped = filter(None, map(str.strip, cells))
         try:
             values = np.array(list(map(float, stripped)))
         except (ValueError, csv.Error):
             values = None
     if values is None or not np.isfinite(values).all():
-        _walk_cells(text, path, column)
+        _walk_cells(_text(data, path), path, column)
     if not values.size:
         raise SampleParseError(f"{path}: no values found")
     return values
 
 
-def _column_in_c(text: str, path: str, column: str) -> Optional[np.ndarray]:
-    """The CSV ``column`` parsed by ``np.loadtxt``, or None where the
-    Python pass must read it.
+def _text(data: bytes, path: str) -> str:
+    """The text of a sample file as a text-mode read gives it: decoded as
+    UTF-8 without a leading byte-order mark, with "\\r\\n" and "\\r" read
+    as "\\n"."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
+    except UnicodeDecodeError as exc:
+        raise SampleParseError(f"cannot read {path}: {exc}")
 
-    ``loadtxt`` runs only where ``csv.reader`` would split each line into
-    the same cells: the text holds no quote (so no cell spans lines) and
-    no NUL, and no line is longer than ``csv.field_size_limit()``, which
-    ``csv.reader`` enforces on every cell, read or not.  It raises
-    ``ValueError`` on a short row, a blank cell, a whitespace-only line, a
-    bare ``"\r"`` or a cell ``float`` alone accepts (``1_000``, non-ASCII
-    digits), and the Python pass then decides.  ``comments=None`` keeps a
-    ``#`` inside its cell.  The header is checked by :func:`_column_index`
+
+def _read_in_c(data: bytes, path: str, column: Optional[str]
+               ) -> Optional[np.ndarray]:
+    """The values of the sample file ``path``, whose bytes are ``data``,
+    read by ``np.loadtxt`` from the path itself, or None where the Python
+    pass must read them.
+
+    Given a path, ``loadtxt`` reads the file in C chunks; it runs only
+    where the bytes show that it splits lines and cells as the Python pass
+    does.  The file is a regular file (so a pipe is not read twice) with
+    no suffix ``loadtxt`` would decompress, and after an optional
+    byte-order mark its bytes are ASCII with no NUL and none of the line
+    boundaries of ``str.splitlines`` that a text-mode file does not end a
+    line at, so no ``#`` comment runs past one.  A plain file is split at
+    whitespace, and only a result of one value per row is taken, so a line
+    ``1.5 2.5`` is never two values.  A CSV file holds no quote (so no
+    cell spans lines), no line longer than ``csv.field_size_limit()``
+    (which ``csv.reader`` enforces on every cell, read or not) and no
+    blank cell (see :func:`_blank_cell`); ``comments=None`` keeps a ``#``
+    inside its cell, and the header is checked by :func:`_column_index`
     on the first line, which is the first row ``csv.reader`` yields.
+    ``loadtxt`` raises ``ValueError`` on a short row, a whitespace-only
+    cell or a cell ``float`` alone accepts (``1_000``), and the Python
+    pass then decides.
     """
-    if '"' in text or "\0" in text:
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if (not os.path.isfile(path) or path.endswith(_PACKED)
+            or np.frombuffer(data, np.uint8, offset=start).max(initial=0)
+            > 0x7F or any(map(data.__contains__, _REFUSED))):
         return None
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    index = _column_index(csv.reader(io.StringIO(text[:len(lines[0]) + 1])),
-                          path, column)
+    if column is None:
+        options = {"comments": "#"}
+    else:
+        if (b'"' in data or not _lines_fit(data, csv.field_size_limit())
+                or _blank_cell(data, start)):
+            return None
+        header = _FIRST_LINE.match(data, start).group().decode("ascii")
+        options = {"delimiter": ",", "comments": None, "skiprows": 1,
+                   "usecols": _column_index(csv.reader(io.StringIO(header)),
+                                            path, column)}
     try:
         with warnings.catch_warnings():
-            # a header-only file; the caller raises "no values found"
+            # an empty file; the caller raises "no values found"
             warnings.filterwarnings("ignore", "loadtxt: input contained no "
                                     "data", UserWarning)
-            return np.loadtxt(lines[1:], delimiter=",", usecols=index,
-                              comments=None, ndmin=1)
-    except ValueError:
+            values = np.loadtxt(os.path.abspath(path), ndmin=2,
+                                encoding="utf-8-sig", **options)
+    except (ValueError, OSError):  # OSError: the file went since read
         return None
+    return values[:, 0] if values.shape[1] == 1 else None
+
+
+def _lines_fit(data: bytes, limit: int) -> bool:
+    """Whether no line of ``data`` is longer than ``limit`` bytes; only a
+    file longer than ``limit`` is scanned, one window of ``limit`` bytes
+    back from its end to the last line end in it."""
+    pos = 0
+    while len(data) - pos > limit:
+        window = pos, pos + limit + 1
+        pos = max(data.rfind(b"\n", *window), data.rfind(b"\r", *window)) + 1
+        if not pos:
+            return False
+    return True
+
+
+def _blank_cell(data: bytes, start: int) -> bool:
+    """Whether the CSV bytes from ``start`` show an empty cell: a comma at
+    either end, or next to a comma, "\\n" or "\\r".  The bytes are scanned
+    in steps of ``_SCAN_BYTES``, whose few arrays stay in the L2 cache."""
+    body = np.frombuffer(data, np.uint8, offset=start)
+    if body.size and (body[0] == _COMMA or body[-1] == _COMMA):
+        return True
+    for lo in range(0, body.size - 1, _SCAN_BYTES):
+        chunk = body[lo:lo + _SCAN_BYTES + 1]
+        comma = chunk == _COMMA
+        cut = (chunk == _LF) | (chunk == _CR) | comma
+        if (comma[:-1] & cut[1:] | cut[:-1] & comma[1:]).any():
+            return True
+    return False
 
 
 def _column_index(reader, path: str, column: str) -> int:

@@ -12,8 +12,15 @@ algorithm, in order of consumption:
       z ^= z >> 27;  z *= 0x94D049BB133111EB
       z ^= z >> 31
 
-* Uniform in (0, 1): take the top 53 bits, ``u = (raw >> 11 + 0.5) * 2^-53``.
-  Never returns 0.0 or 1.0.
+* Uniform in (0, 1]: take the top 53 bits, ``u = (raw >> 11 + 0.5) * 2^-53``,
+  the sum rounded to float64 (ties to even).  Never returns 0.0; the least
+  value is 2^-54.  It returns exactly 1.0 when the top 53 bits are all ones,
+  since 2^53 - 1 + 0.5 rounds to 2^53; that has probability 2^-53 per draw,
+  and the largest value below it is 1 - 2^-52.  The consumers accept 1.0:
+  ``ln 1 = 0`` in Box-Muller and in the gamma test, and a Uniform(a, b)
+  draw ``a + (b - a) u`` then equals ``(b - a) + a``, which is b or, where
+  ``b - a`` rounds up, one ulp above it (Uniform(-0.1, 0.3) gives
+  0.30000000000000004).
 
 * Standard normal: two uniforms per deviate,
   ``z = sqrt(-2 ln u1) * cos(2 pi u2)`` with ``u1`` then ``u2`` drawn as two
@@ -112,9 +119,11 @@ def _substream_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 def substream_seed(master_seed: int, index: int) -> int:
-    """Derived seed for substream ``index`` (>= 1) of ``master_seed``."""
-    if index < 1:
-        raise DomainError(f"substream index must be >= 1, got {index}")
+    """Derived seed for substream ``index`` (1 <= index < 2^64) of
+    ``master_seed``."""
+    if not 1 <= index <= _MASK:
+        raise DomainError(
+            f"substream index must be >= 1 and < 2**64, got {index}")
     return int(_substream_seeds(master_seed, index, index + 1)[0])
 
 
@@ -213,8 +222,9 @@ class RowStreams:
         return self._draw(1, count).reshape(self.rows, count).copy()
 
     def uniforms(self, count: int, out=None) -> np.ndarray:
-        """i.i.d. uniforms strictly inside (0, 1), written into ``out``, a
-        C-contiguous (rows, count) array, when given."""
+        """i.i.d. uniforms in (0, 1], written into ``out``, a C-contiguous
+        (rows, count) array, when given; a value is 1.0 only when a raw
+        output's top 53 bits are all ones (see the module docstring)."""
         if out is None:
             out = np.empty((self.rows, count))
         return _to_uniforms(self._draw(1, count).reshape(out.shape), out)
@@ -235,8 +245,9 @@ class RowStreams:
         the later rounds then run once over the rejected slots of every
         row.  Rows are independent streams, so the chunking changes no
         draw."""
-        if not shape > 0.0:
-            raise DomainError(f"gamma shape must be > 0, got {shape}")
+        if not 0.0 < shape < math.inf:
+            raise DomainError(
+                f"gamma shape must be finite and > 0, got {shape}")
         rows, ws = self.rows, self._ws
         if out is None:
             out = np.empty((rows, count))
@@ -316,7 +327,8 @@ class Stream:
         return self._rows.raw(count)[0]
 
     def uniforms(self, count: int) -> np.ndarray:
-        """i.i.d. uniforms strictly inside (0, 1)."""
+        """i.i.d. uniforms in (0, 1]; a value is 1.0 only when a raw
+        output's top 53 bits are all ones (see the module docstring)."""
         return self._rows.uniforms(count)[0]
 
     def normals(self, count: int) -> np.ndarray:

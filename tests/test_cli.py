@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -589,6 +590,116 @@ class TestReadSample:
                                    + text.encode())
             assert (read_outcome(read_sample, path, column)
                     == read_outcome(reference_read_sample, path, column))
+
+    ASCII_TOKENS = (list("0123456789") + ["-", "+", ".", "e", "_", "#", " ",
+                    "\t", "\x1f", ",", "nan", "inf", "x", "\r", "\r\n",
+                    "\n"])
+    ASCII_CELL = st.one_of(
+        FLOAT, FLOAT, FLOAT, INTEGER, INTEGER, NONFINITE,
+        st.lists(st.sampled_from(ASCII_TOKENS), max_size=6).map("".join))
+    ASCII_PAD = st.sampled_from(["", "", " ", "\t", " \t", "\x1f"])
+    ASCII_BREAK = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.tuples(ASCII_PAD, ASCII_CELL, ASCII_PAD,
+                                    COMMENT, ASCII_BREAK), max_size=8),
+           as_csv=st.booleans(), bom=st.booleans())
+    def test_ascii_files_match_reference_reader(self, lines, as_csv, bom):
+        """ASCII files, which mostly take the C pass: padded cells,
+        trailing comments, CRLF and bare CR, and an extra CSV column."""
+        if as_csv:
+            text = "id,value,note\n" + "".join(
+                f"{i},{pad}{cell}{end},n{comment}{brk}"
+                for i, (pad, cell, end, comment, brk) in enumerate(lines))
+            column = "value"
+        else:
+            text = "".join("".join(line) for line in lines)
+            column = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "sample")
+            Path(path).write_bytes(("\ufeff" if bom else "").encode()
+                                   + text.encode())
+            assert (read_outcome(read_sample, path, column)
+                    == read_outcome(reference_read_sample, path, column))
+
+    def test_plain_file_read_in_one_c_call(self, tmp_path, monkeypatch):
+        """A plain ASCII file with a byte-order mark, a comment line, CRLF
+        line ends, padded cells and trailing comments does not go through
+        the Python pass, and its values have the bits ``float`` gives each
+        cell."""
+        def python_pass(*args):
+            raise AssertionError("read a plain ASCII file in the Python pass")
+
+        monkeypatch.setattr(momest.cli, "_cells", python_pass)
+        cells = [f"{(k - 1000) * 0.7310585786300049:.22g}e{k % 41 - 20}"
+                 for k in range(2000)]
+        pads = ["", " ", "\t", " \t "]
+        comments = ["", "# note", "#", " # k"]
+        path = tmp_path / "sample.txt"
+        path.write_bytes(b"\xef\xbb\xbf# draws of a test law\r\n" + "".join(
+            f"{pads[k % 4]}{cell}{pads[k % 3]}{comments[k % 4]}\r\n"
+            for k, cell in enumerate(cells)).encode())
+        got = read_sample(str(path), None)
+        want = np.array([float(cell) for cell in cells])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lines", [
+        ["1.5 2.5"], ["1.5 2.5", "3.5 4.5", "5.5\t6.5"],
+    ], ids=["one-line", "every-line"])
+    def test_two_numbers_on_a_line_refused(self, tmp_path, lines):
+        """A plain line of two numbers is one bad cell, however many lines
+        share its shape."""
+        path = tmp_path / "sample.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SampleParseError, match=(
+                f"^{re.escape(str(path))}:1: could not parse '1.5 2.5' as "
+                f"a number$")):
+            read_sample(str(path), None)
+
+    @pytest.mark.parametrize("rows", [
+        ["1,,n1"], ["1,\r\n2,2.5"], [",1.5,n0"], ["1,"],
+        ["1,2.5,n1"] * 3 + ["4,,n4"],
+    ], ids=["comma-comma", "comma-crlf", "leading", "trailing", "late"])
+    def test_blank_cell_skips_the_c_pass(self, tmp_path, monkeypatch, rows):
+        """A CSV whose bytes show a blank cell goes straight to the Python
+        pass, which skips the cell."""
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("ran loadtxt on a CSV with a blank cell")
+
+        monkeypatch.setattr(momest.cli.np, "loadtxt", loadtxt)
+        column = "id" if rows[0].startswith(",") else "value"
+        path = tmp_path / "sample.csv"
+        path.write_text("id,value,note\n" + "\n".join(rows + ["9,0.5,n"]),
+                        encoding="utf-8")
+        got = read_sample(str(path), column)
+        assert got.tobytes() == reference_read_sample(str(path),
+                                                      column).tobytes()
+
+    @pytest.mark.parametrize("suffix", [".bz2", ".gz", ".lzma", ".xz"])
+    def test_suffix_loadtxt_decompresses_skips_the_c_pass(
+            self, tmp_path, monkeypatch, suffix):
+        """``np.loadtxt`` opens a path with these suffixes through a
+        decompressor, so it must not read the file the checks saw."""
+        def loadtxt(*args, **kwargs):
+            raise AssertionError(f"ran loadtxt on a {suffix} file")
+
+        monkeypatch.setattr(momest.cli.np, "loadtxt", loadtxt)
+        path = tmp_path / f"sample{suffix}"
+        path.write_text("1.5\n2.5\n", encoding="utf-8")
+        assert read_sample(str(path), None).tolist() == [1.5, 2.5]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin")
+    def test_pipe_read_once(self):
+        """A pipe yields its bytes once: the C pass, which opens the path
+        again, must not read it."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "momest.cli", "estimate", "gamma",
+             "--input", "/dev/stdin", "--format", "json"],
+            input="1.5\n2.5\n3.5\n", capture_output=True, text=True,
+            env=child_env(), timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 3
 
 
 class TestTestCommand:

@@ -4,7 +4,8 @@ plus sampler moment checks."""
 import numpy as np
 import pytest
 
-from momest import DomainError, Stream, substream_seed
+from momest import DomainError, RowStreams, Stream, substream_seed
+from momest.rng import _to_uniforms
 
 MASK = (1 << 64) - 1
 
@@ -71,6 +72,19 @@ class TestUniforms:
         assert np.array_equal(Stream(11).uniforms(1000),
                               Stream(11).uniforms(1000))
 
+    @pytest.mark.parametrize("raw, want", [
+        (0, 2.0 ** -54),
+        ((2 ** 53 - 2) << 11, 1.0 - 2.0 ** -52),
+        ((2 ** 53 - 2) << 11 | 0x7FF, 1.0 - 2.0 ** -52),
+        ((2 ** 53 - 1) << 11, 1.0),
+        (MASK, 1.0),
+    ], ids=["zero", "largest-below-one", "low-bits-ignored", "one", "max"])
+    def test_edges(self, raw, want):
+        """The conversion's ends: (0, 1], with exactly 1.0 when the top 53
+        bits are all ones, because 2^53 - 1 + 0.5 rounds to even."""
+        got = _to_uniforms(np.array([raw], dtype=np.uint64), np.empty(1))
+        assert got[0] == want
+
 
 class TestNormals:
     def test_moments(self):
@@ -100,11 +114,22 @@ class TestGammas:
         with pytest.raises(DomainError):
             Stream(1).gammas(0.0, 10)
 
+    @pytest.mark.parametrize("shape", [np.inf, -np.inf, np.nan])
+    def test_non_finite_shape_refused(self, shape):
+        with pytest.raises(DomainError, match="finite"):
+            RowStreams([1, 2]).gammas(shape, 10)
+
 
 class TestSubstreams:
     def test_index_validation(self):
         with pytest.raises(DomainError):
             substream_seed(1, 0)
+
+    def test_index_beyond_64_bits_refused(self):
+        assert substream_seed(1, MASK) == reference_mix(
+            (1 + MASK * 0xD1B54A32D192ED03) & MASK)
+        with pytest.raises(DomainError, match=r"< 2\*\*64"):
+            substream_seed(1, MASK + 1)
 
     @pytest.mark.parametrize("master", [0, 7, MASK])
     def test_matches_reference(self, master):
