@@ -254,9 +254,9 @@ def _read_in_c(data: bytes, path: str, column: Optional[str]
 
 
 def _lines_fit(data: bytes, limit: int) -> bool:
-    """Whether no line of ``data`` is longer than ``limit`` bytes; only a
-    file longer than ``limit`` is scanned, one window of ``limit`` bytes
-    back from its end to the last line end in it."""
+    """Whether no line of ``data`` is longer than ``limit`` bytes.  Only a
+    file longer than ``limit`` is scanned: each step searches the next
+    ``limit + 1`` bytes backwards for a line end and goes on after it."""
     pos = 0
     while len(data) - pos > limit:
         window = pos, pos + limit + 1
