@@ -19,8 +19,10 @@ decimal per line; ``#`` starts a comment.  With ``--column NAME`` the input
 is parsed as a headered CSV instead, reading the one column headed NAME;
 blank cells and short rows are skipped.  Errors name the line of the file.
 A sample is read in up to three passes (see :func:`read_sample`): numpy's C
-reader on the path itself, for plain and CSV files whose bytes show that it
-splits them as the Python reader does; otherwise one Python pass over the
+reader on the path itself, for plain and CSV files whose bytes pass checks
+that each keep it from reading what the Python reader would not (a pipe, a
+compressed file, line ends and quotes that only one of them honours, long
+CSV lines); otherwise, or where it refuses a cell, one Python pass over the
 cells; and, if a cell is bad, a walk over the cells in file order that
 raises the first bad cell's error with its line.
 The only environment variable consulted is ``MOMEST_OUTDIR``, the default
@@ -75,11 +77,6 @@ _PACKED = (".bz2", ".gz", ".lzma", ".xz")
 
 #: The first line of a file, with its end.
 _FIRST_LINE = re.compile(rb"[^\n\r]*[\n\r]?")
-
-_COMMA, _LF, _CR = b",\n\r"
-
-#: Bytes per step of :func:`_blank_cell`.
-_SCAN_BYTES = 1 << 16
 
 
 def _choice(parse):
@@ -163,6 +160,10 @@ def read_sample(path: str, column: Optional[str]) -> np.ndarray:
 
     1. a file whose bytes pass the checks of :func:`_read_in_c`, plain or
        CSV, is read by numpy's C text reader from its path in one call;
+       each check keeps that reader from reading a value, or accepting a
+       file, that pass 2 would treat otherwise (a file it splits into
+       other lines or cells, reads differently or not at all), and a
+       blank cell in the read CSV column makes it fail;
     2. otherwise the stripped cells that are not blank go through
        ``float`` in one Python pass;
     3. if the first pass that ran refuses a cell, a value is not finite,
@@ -208,23 +209,35 @@ def _read_in_c(data: bytes, path: str, column: Optional[str]
     read by ``np.loadtxt`` from the path itself, or None where the Python
     pass must read them.
 
-    Given a path, ``loadtxt`` reads the file in C chunks; it runs only
-    where the bytes show that it splits lines and cells as the Python pass
-    does.  The file is a regular file (so a pipe is not read twice) with
-    no suffix ``loadtxt`` would decompress, and after an optional
-    byte-order mark its bytes are ASCII with no NUL and none of the line
-    boundaries of ``str.splitlines`` that a text-mode file does not end a
-    line at, so no ``#`` comment runs past one.  A plain file is split at
-    whitespace, and only a result of one value per row is taken, so a line
-    ``1.5 2.5`` is never two values.  A CSV file holds no quote (so no
-    cell spans lines), no line longer than ``csv.field_size_limit()``
-    (which ``csv.reader`` enforces on every cell, read or not) and no
-    blank cell (see :func:`_blank_cell`); ``comments=None`` keeps a ``#``
-    inside its cell, and the header is checked by :func:`_column_index`
-    on the first line, which is the first row ``csv.reader`` yields.
-    ``loadtxt`` raises ``ValueError`` on a short row, a whitespace-only
-    cell or a cell ``float`` alone accepts (``1_000``), and the Python
-    pass then decides.
+    Given a path, ``loadtxt`` reads the file in C chunks.  Each check keeps
+    it from reading a value, or accepting a file, that the Python pass
+    would treat otherwise:
+
+    * a regular file: ``loadtxt`` opens the path again, so a pipe, whose
+      bytes the Python pass has already read, would read empty;
+    * no suffix that ``loadtxt`` decompresses, since the Python pass reads
+      the bytes as they are (and ``loadtxt`` is given the absolute path,
+      since numpy downloads a relative path that parses as a URL);
+    * after an optional byte-order mark, ASCII bytes and none of
+      ``\\x0b \\x0c \\x1c \\x1d \\x1e``: ``str.splitlines`` ends a
+      plain line, and its ``#`` comment, at these and at U+0085, U+2028
+      and U+2029, and a text-mode file does not;
+    * no NUL, which ``csv.reader`` refuses in a line before Python 3.11;
+    * a plain file is split at whitespace and only one value per row is
+      taken, since ``float`` refuses a line ``1.5 2.5``;
+    * a CSV file holds no quote, since ``csv.reader`` keeps a quoted comma
+      in its cell and reads a quoted cell across lines;
+    * no CSV line is longer than ``csv.field_size_limit()``, which
+      ``csv.reader`` enforces on every cell, read or not;
+    * the CSV header goes through :func:`_column_index` on the first line,
+      which is the first row ``csv.reader`` yields, so a missing or
+      repeated column gets the same message; ``comments=None`` keeps a
+      ``#`` in its cell, as ``csv.reader`` does.
+
+    A blank cell in a column that is not read is skipped by ``usecols``,
+    as by the Python pass.  ``loadtxt`` raises ``ValueError`` on a blank or
+    whitespace-only cell in the read column, a short row or a cell only
+    ``float`` accepts (``1_000``), and the Python pass then decides.
     """
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     if (not os.path.isfile(path) or path.endswith(_PACKED)
@@ -234,8 +247,7 @@ def _read_in_c(data: bytes, path: str, column: Optional[str]
     if column is None:
         options = {"comments": "#"}
     else:
-        if (b'"' in data or not _lines_fit(data, csv.field_size_limit())
-                or _blank_cell(data, start)):
+        if b'"' in data or not _lines_fit(data, csv.field_size_limit()):
             return None
         header = _FIRST_LINE.match(data, start).group().decode("ascii")
         options = {"delimiter": ",", "comments": None, "skiprows": 1,
@@ -264,22 +276,6 @@ def _lines_fit(data: bytes, limit: int) -> bool:
         if not pos:
             return False
     return True
-
-
-def _blank_cell(data: bytes, start: int) -> bool:
-    """Whether the CSV bytes from ``start`` show an empty cell: a comma at
-    either end, or next to a comma, "\\n" or "\\r".  The bytes are scanned
-    in steps of ``_SCAN_BYTES``, whose few arrays stay in the L2 cache."""
-    body = np.frombuffer(data, np.uint8, offset=start)
-    if body.size and (body[0] == _COMMA or body[-1] == _COMMA):
-        return True
-    for lo in range(0, body.size - 1, _SCAN_BYTES):
-        chunk = body[lo:lo + _SCAN_BYTES + 1]
-        comma = chunk == _COMMA
-        cut = (chunk == _LF) | (chunk == _CR) | comma
-        if (comma[:-1] & cut[1:] | cut[:-1] & comma[1:]).any():
-            return True
-    return False
 
 
 def _column_index(reader, path: str, column: str) -> int:

@@ -107,6 +107,7 @@ class LawSpec:
         if not family.in_domain(a, b):
             raise DomainError(f"{self.kind.value} law requires "
                               f"{family.domain}, got ({a}, {b})")
+        family.check_range(a, b)
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.p1:g}, {self.p2:g})"
@@ -197,6 +198,9 @@ class _Family:
 
     def in_domain(self, a: float, b: float) -> bool:
         return a > 0.0 and b > 0.0
+
+    def check_range(self, a: float, b: float) -> None:
+        """Refuses parameters in the domain whose formulas overflow."""
 
     def support(self, a, b, xs: np.ndarray) -> np.ndarray:
         """Mask of the points of ``xs`` where :meth:`density` holds: the
@@ -365,6 +369,10 @@ class _Uniform(_Family):
     def in_domain(self, a, b):
         return b > a
 
+    def check_range(self, a, b):
+        _need(math.isfinite(b - a), f"uniform law requires a finite width "
+                                    f"b - a, got ({a}, {b})")
+
     def support(self, a, b, xs):
         return (xs >= a) & (xs <= b)
 
@@ -382,6 +390,8 @@ class _Uniform(_Family):
         x = streams.uniforms(n)
         x *= b - a
         x += a
+        # u = 1.0 gives (b - a) + a, which can round one ulp above b
+        np.minimum(x, b, out=x)
         return x
 
     def raw_moment(self, a, b, k):

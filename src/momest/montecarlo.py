@@ -27,6 +27,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import isfinite
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -410,9 +411,12 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
 
     Returns an array of (x, density) rows.  Without an explicit bandwidth
     the Silverman rule is applied; a zero-spread sample then raises.
-    Non-finite values raise :class:`DomainError`.
+    Non-finite values or grid bounds raise :class:`DomainError`.
     """
     v = _figure_values(values, "density estimate needs >= 2 values")
+    if not (isfinite(grid_lo) and isfinite(grid_hi)):
+        raise DomainError(f"need finite grid bounds, got {grid_lo}, "
+                          f"{grid_hi}")
     if not grid_lo < grid_hi:
         raise DomainError(f"need grid_lo < grid_hi, got {grid_lo}, {grid_hi}")
     if grid_points < 2:

@@ -18,8 +18,8 @@ algorithm, in order of consumption:
   since 2^53 - 1 + 0.5 rounds to 2^53; that has probability 2^-53 per draw,
   and the largest value below it is 1 - 2^-52.  The consumers accept 1.0:
   ``ln 1 = 0`` in Box-Muller and in the gamma test, and a Uniform(a, b)
-  draw ``a + (b - a) u`` then equals ``(b - a) + a``, which is b or, where
-  ``b - a`` rounds up, one ulp above it (Uniform(-0.1, 0.3) gives
+  draw ``min(a + (b - a) u, b)`` is then b, though ``(b - a) + a`` alone
+  can round one ulp above it (Uniform(-0.1, 0.3) would give
   0.30000000000000004).
 
 * Standard normal: two uniforms per deviate,

@@ -5,6 +5,7 @@ harness on arrays of estimates, and both reject when p < ALPHA, strictly."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -50,6 +51,14 @@ def _rejects(p):
     return p < ALPHA
 
 
+def _need_finite(test: str, **values: float) -> None:
+    """Refuses an estimate or null value that is NaN or infinite, naming
+    it: the statistic would be NaN or inf, and a NaN p-value accepts."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise DomainError(f"{test} requires a finite {name}, got {value}")
+
+
 def _usable_variance(var_entry: float) -> bool:
     """A variance entry a marginal test can divide by: 0 < var < inf."""
     return 0.0 < var_entry < np.inf
@@ -68,6 +77,7 @@ def marginal_test(theta_hat: float, theta0: float, var_entry: float,
             f"{var_entry}")
     if n < 2:
         raise DomainError(f"marginal test requires n >= 2, got {n}")
+    _need_finite("marginal test", theta_hat=theta_hat, theta0=theta0)
     z, p = _marginal_core(theta_hat, theta0, var_entry, n)
     return TestReport(statistic=float(z), df=0, p_value=float(p),
                       reject_at_5pct=bool(_rejects(p)),
@@ -90,6 +100,7 @@ def omnibus_test(a_hat: float, b_hat: float, a0: float, b0: float,
     """
     if n < 2:
         raise DomainError(f"omnibus test requires n >= 2, got {n}")
+    _need_finite("omnibus test", a_hat=a_hat, b_hat=b_hat, a0=a0, b0=b0)
     if not sigma.det > det_floor(sigma):
         raise SingularCovarianceError(
             f"covariance too close to singular for a joint test "

@@ -660,13 +660,9 @@ class TestReadSample:
         ["1,,n1"], ["1,\r\n2,2.5"], [",1.5,n0"], ["1,"],
         ["1,2.5,n1"] * 3 + ["4,,n4"],
     ], ids=["comma-comma", "comma-crlf", "leading", "trailing", "late"])
-    def test_blank_cell_skips_the_c_pass(self, tmp_path, monkeypatch, rows):
-        """A CSV whose bytes show a blank cell goes straight to the Python
-        pass, which skips the cell."""
-        def loadtxt(*args, **kwargs):
-            raise AssertionError("ran loadtxt on a CSV with a blank cell")
-
-        monkeypatch.setattr(momest.cli.np, "loadtxt", loadtxt)
+    def test_blank_cell_reads_as_reference_reader(self, tmp_path, rows):
+        """A CSV with a blank cell, in the column read or another one, reads
+        the values of the reference reader, which skips the cell."""
         column = "id" if rows[0].startswith(",") else "value"
         path = tmp_path / "sample.csv"
         path.write_text("id,value,note\n" + "\n".join(rows + ["9,0.5,n"]),
@@ -674,6 +670,26 @@ class TestReadSample:
         got = read_sample(str(path), column)
         assert got.tobytes() == reference_read_sample(str(path),
                                                       column).tobytes()
+
+    def test_blank_cells_in_unread_columns_read_in_one_c_call(
+            self, tmp_path, monkeypatch):
+        """Blank cells outside the column read do not send a CSV to the
+        Python pass, and its values have the bits ``float`` gives each
+        cell."""
+        def python_pass(*args):
+            raise AssertionError("read a CSV whose read column has no blank "
+                                 "cell in the Python pass")
+
+        monkeypatch.setattr(momest.cli, "_cells", python_pass)
+        cells = [f"{(k - 1000) * 0.7310585786300049:.22g}e{k % 41 - 20}"
+                 for k in range(2000)]
+        path = tmp_path / "sample.csv"
+        path.write_text("id,value,note\n" + "".join(
+            f"{'' if k % 7 == 3 else k},{cell},\n"
+            for k, cell in enumerate(cells)), encoding="utf-8")
+        got = read_sample(str(path), "value")
+        want = np.array([float(cell) for cell in cells])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("suffix", [".bz2", ".gz", ".lzma", ".xz"])
     def test_suffix_loadtxt_decompresses_skips_the_c_pass(

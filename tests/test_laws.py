@@ -12,6 +12,7 @@ import pytest
 from momest import (DEFAULT_QUAD_CONFIG, DomainError, LawKind, LawSpec,
                     MomentDomainError, cdf, pdf, quantile, sample,
                     theoretical_moments, trapezoid_integrate)
+from momest.laws import _family
 
 ACCEPTANCE_LAWS = [
     LawSpec.gamma(2.0, 3.0),
@@ -36,6 +37,14 @@ class TestLawSpec:
         # negative endpoints are fine for the uniform law
         LawSpec.uniform(-3.0, -1.0)
         LawSpec.fisher(5.0, 3.0)  # constructible; moment ops flag b <= 4
+
+    def test_uniform_width_must_be_finite(self):
+        """b - a overflowing to inf would make the pdf 0, the cdf 0 at the
+        midpoint and every quantile and draw inf."""
+        with pytest.raises(DomainError, match=re.escape(
+                "uniform law requires a finite width b - a, got "
+                "(-1e+308, 1e+308)")):
+            LawSpec.uniform(-1e308, 1e308)
 
     def test_kind_parse(self):
         assert LawKind.parse(" Gamma ") is LawKind.GAMMA
@@ -275,3 +284,14 @@ class TestSampling:
     def test_size_validation(self):
         with pytest.raises(DomainError):
             sample(LawSpec.gamma(2.0, 3.0), 0, 1)
+
+    @pytest.mark.parametrize("a, b", [(-0.1, 0.3), (0.0, 1.0)])
+    def test_uniform_draw_of_one_is_b(self, a, b):
+        """A uniform u = 1.0 draws b itself, where (b - a) + a alone can
+        round one ulp above it, out of the support."""
+        class Ones:
+            def uniforms(self, n):
+                return np.ones(n)
+
+        x = _family(LawKind.UNIFORM).draw(a, b, Ones(), None, 3)
+        assert x.tolist() == [b] * 3

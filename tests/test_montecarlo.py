@@ -411,6 +411,13 @@ class TestParzen:
         with pytest.raises(DomainError):
             parzen_density([0.0, 1.0], 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (math.nan, 1.0)])
+    def test_grid_bounds_must_be_finite(self, lo, hi):
+        """An infinite bound passes lo < hi and fills the grid with nan."""
+        with pytest.raises(DomainError, match="^need finite grid bounds"):
+            parzen_density([1.0, 2.0, 3.0], lo, hi, 5)
+
     @pytest.mark.parametrize("size", [2, 37, 400, 2000, 8193])
     def test_chunks_equal_one_shot_kernel_matrix(self, size):
         """One chunk (B = 2, 37), many chunks (400, 2000) and one row per

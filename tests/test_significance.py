@@ -61,6 +61,16 @@ class TestMarginal:
         with pytest.raises(DomainError, match="positive finite variance"):
             marginal_test(2.5, 2.0, var_entry, 100)
 
+    @pytest.mark.parametrize("theta_hat, theta0, name", [
+        (math.nan, 2.0, "theta_hat"), (math.inf, 2.0, "theta_hat"),
+        (2.5, -math.inf, "theta0")])
+    def test_non_finite_estimate_refused(self, theta_hat, theta0, name):
+        """A NaN estimate gives z = p = nan, a silent accept, unless
+        refused."""
+        with pytest.raises(DomainError, match=(
+                f"^marginal test requires a finite {name}, got ")):
+            marginal_test(theta_hat, theta0, 1.0, 100)
+
     def test_calibration_under_null(self):
         # seeded replications from the true law, exact variance entry 12
         law = LawSpec.gamma(2.0, 3.0)
@@ -124,6 +134,16 @@ class TestOmnibus:
             omnibus_test(2.5, 3.0, 2.0, 3.0, 100, sig)
         with pytest.raises(DomainError):
             Covariance2.build(nan, 1.0, 0.0, SigmaMethod.PLUGIN)
+
+    @pytest.mark.parametrize("name", ["a_hat", "b_hat", "a0", "b0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_estimate_refused(self, name, bad):
+        """Refused naming the test and the value, not by the chi-square
+        tail."""
+        args = {"a_hat": 2.5, "b_hat": 3.5, "a0": 2.0, "b0": 3.0, name: bad}
+        with pytest.raises(DomainError, match=(
+                f"^omnibus test requires a finite {name}, got {bad}$")):
+            omnibus_test(n=100, sigma=IDENTITY, **args)
 
     def test_pvalues_uniform_under_null(self):
         # Kolmogorov distance of the omnibus p-values from uniform
