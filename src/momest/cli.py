@@ -7,6 +7,11 @@ Subcommands::
     momest test KIND A0 B0 --input FILE [--sigma METHOD] [--format ...]
     momest simulate KIND A B --n N --replications B --seed S [--out DIR] ...
 
+One table, :data:`COMMANDS`, gives each command's help, arguments and
+handler.  A call registers every command but builds the arguments of its
+own command only, the one its first argument names; usage, help and errors
+read as with every command built.
+
 Exit codes (so pipelines can branch without parsing text):
 
 * 0  success; for ``test``, the omnibus test did not reject at 5%
@@ -42,7 +47,7 @@ import warnings
 from dataclasses import asdict
 from math import isfinite
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -90,59 +95,58 @@ def _choice(parse):
     return convert
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="momest",
-        description="Moment estimation, asymptotic covariances, marginal and "
-                    "omnibus tests, and Monte-Carlo calibration runs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    law_kind, mode, sigma = map(_choice, (LawKind.parse, CoefficientMode.parse,
-                                          SigmaMethod.parse))
+_LAW_KIND, _MODE, _SIGMA = map(_choice, (LawKind.parse, CoefficientMode.parse,
+                                       SigmaMethod.parse))
 
-    def add_law(p, hypothesized=False):
-        p.add_argument("kind", type=law_kind, help=" | ".join(LawKind))
-        names = ("a0", "b0") if hypothesized else ("a", "b")
-        p.add_argument(names[0], type=float)
-        p.add_argument(names[1], type=float)
-        p.add_argument("--mode", type=mode, default="canonical",
-                       help=" | ".join(CoefficientMode) + " (alias: paper)")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+def _add_law(p, hypothesized=False):
+    p.add_argument("kind", type=_LAW_KIND, help=" | ".join(LawKind))
+    names = ("a0", "b0") if hypothesized else ("a", "b")
+    p.add_argument(names[0], type=float)
+    p.add_argument(names[1], type=float)
+    p.add_argument("--mode", type=_MODE, default="canonical",
+                   help=" | ".join(CoefficientMode) + " (alias: paper)")
 
-    def add_input(p):
-        p.add_argument("--input", required=True,
-                       help="sample file; one value per line, or CSV with "
-                            "--column")
-        p.add_argument("--column", default=None,
-                       help="read this column of a headered CSV")
 
-    p = sub.add_parser("coeffs",
-                       help="influence coefficients and exact covariance")
-    add_law(p)
-    add_format(p)
+def _add_format(p):
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("estimate", help="moment estimates from a sample")
-    p.add_argument("kind", type=law_kind)
-    add_input(p)
-    add_format(p)
 
-    p = sub.add_parser("test",
-                       help="marginal and omnibus tests of (a0, b0)")
-    add_law(p, hypothesized=True)
-    add_input(p)
-    p.add_argument("--sigma", type=sigma, default="exact-moments",
+def _add_input(p):
+    p.add_argument("--input", required=True,
+                   help="sample file; one value per line, or CSV with "
+                        "--column")
+    p.add_argument("--column", default=None,
+                   help="read this column of a headered CSV")
+
+
+def _coeffs_arguments(p):
+    _add_law(p)
+    _add_format(p)
+
+
+def _estimate_arguments(p):
+    p.add_argument("kind", type=_LAW_KIND)
+    _add_input(p)
+    _add_format(p)
+
+
+def _test_arguments(p):
+    _add_law(p, hypothesized=True)
+    _add_input(p)
+    p.add_argument("--sigma", type=_SIGMA, default="exact-moments",
                    help=" | ".join(m for m in SigmaMethod
                                    if m is not SigmaMethod.REPLICATION))
-    add_format(p)
+    _add_format(p)
 
-    p = sub.add_parser("simulate", help="replicated calibration study")
-    add_law(p)
+
+def _simulate_arguments(p):
+    _add_law(p)
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--replications", "-B", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="master seed (required: runs must be reproducible)")
-    p.add_argument("--sigma-methods", nargs="+", type=sigma,
+    p.add_argument("--sigma-methods", nargs="+", type=_SIGMA,
                    default=DEFAULT_SIGMA_METHODS,
                    help="subset of " + " ".join(SigmaMethod))
     p.add_argument("--out", default=None,
@@ -150,6 +154,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "./momest-report)")
     p.add_argument("--workers", type=int, default=1,
                    help="thread count; affects wall clock only, never bytes")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command in :data:`COMMANDS`.  Every name is
+    registered, so usage, ``-h`` and choice errors name them all; only
+    ``command`` gets its arguments, or every command when ``command`` is
+    None or names none of them."""
+    parser = argparse.ArgumentParser(
+        prog="momest",
+        description="Moment estimation, asymptotic covariances, marginal and "
+                    "omnibus tests, and Monte-Carlo calibration runs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in COMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        if command == name or command not in COMMANDS:
+            entry.arguments(p)
     return parser
 
 
@@ -470,12 +490,34 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    help: str
+    arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+#: Each command's help, argument builder and handler, in usage order.
+COMMANDS = {
+    "coeffs": _Command("influence coefficients and exact covariance",
+                       _coeffs_arguments, cmd_coeffs),
+    "estimate": _Command("moment estimates from a sample",
+                         _estimate_arguments, cmd_estimate),
+    "test": _Command("marginal and omnibus tests of (a0, b0)",
+                     _test_arguments, cmd_test),
+    "simulate": _Command("replicated calibration study",
+                         _simulate_arguments, cmd_simulate),
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {"coeffs": cmd_coeffs, "estimate": cmd_estimate,
-                "test": cmd_test, "simulate": cmd_simulate}
+    """Runs the command that ``argv`` (default ``sys.argv[1:]``) names and
+    returns its exit code.  The parser built for the call gives arguments
+    only to the command named by ``argv[0]``; usage, help and every error
+    read as with every command built."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command].run(args)
     except MomestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_SINGULAR if isinstance(exc, SingularCovarianceError)

@@ -402,9 +402,8 @@ class _Uniform(_Family):
         return (b - a) ** 2 / 12.0
 
     def conditions(self, mean, msq, s2, vb):
-        # cannot fail with empirical moments, kept as a guard
-        return [(np.logical_not(s2 < 0.0), DegenerateSampleError,
-                 "negative variance {}", s2)]
+        return [(s2 > 0.0, DegenerateSampleError,
+                 "uniform estimator requires S^2 > 0, got S^2={}", s2)]
 
     def estimator(self, mean, msq, s2, vb):
         half = HALF_WIDTH_FACTOR * np.sqrt(s2)

@@ -1,5 +1,6 @@
 """The command-line interface: parsing, outputs, exit codes, file formats."""
 
+import argparse
 import csv
 import io
 import json
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 import momest
 from momest import LawSpec, SampleParseError, sample
-from momest.cli import (EXIT_INPUT, EXIT_OK, EXIT_REJECT, _cells, _number,
-                        main, read_sample)
+from momest.cli import (COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_REJECT, _cells,
+                        _number, build_parser, main, read_sample)
 from momest.reportio import FILE_NAMES
 
 
@@ -177,6 +178,16 @@ class TestEstimate:
         assert doc["a_hat"] == pytest.approx(1.0 - math.sqrt(6.0), rel=1e-12)
         assert doc["b_hat"] == pytest.approx(1.0 + math.sqrt(6.0), rel=1e-12)
         assert doc["moments"]["var_unbiased"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "uniform"), ("test", "uniform", "0", "1")],
+        ids=["estimate", "test"])
+    def test_uniform_zero_spread_refused(self, capsys, tmp_path, argv):
+        path = write_sample(tmp_path, [2.0, 2.0, 2.0])
+        code, out, err = run_cli(capsys, *argv, "--input", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: uniform estimator requires S^2 > 0, "
+                       "got S^2=0.0\n")
 
     def test_comments_and_blank_lines(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
@@ -972,6 +983,95 @@ class TestSimulate:
         assert code == EXIT_OK
 
 
+def parse_all(argv):
+    """Parses ``argv`` with every command's arguments built."""
+    return build_parser().parse_args(argv)
+
+
+def run_parse(capsys, parse, argv):
+    """The exit code (None if ``parse`` returns), stdout and stderr of
+    ``parse(argv)``."""
+    try:
+        parse(list(argv))
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """``main`` builds only its own command's arguments; what a user sees
+    of the parser is what a parser with every command built shows."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["coeffs", "-h"], ["estimate", "-h"], ["test", "-h"],
+        ["simulate", "-h"],
+        [],
+        ["fit", "gamma"],
+        ["test", "gamma", "2", "3", "--input", "s.txt", "--bogus"],
+        ["coeffs", "gamma", "2"],
+        ["test", "gamma", "2", "3", "--input", "s.txt", "--sigma", "bogus"],
+        ["coeffs", "gamma", "2", "3", "--mode", "bogus"],
+        ["estimate", "cauchy", "--input", "s.txt"],
+        ["simulate", "gamma", "2", "3", "--n", "ten", "-B", "2", "--seed",
+         "1"],
+    ], ids=["help", "coeffs-help", "estimate-help", "test-help",
+            "simulate-help", "no-arguments", "unknown-command",
+            "unrecognised-option", "missing-positional", "bad-sigma",
+            "bad-mode", "bad-kind", "non-integer-n"])
+    def test_texts_match_a_full_parser(self, capsys, argv):
+        got = run_parse(capsys, main, argv)
+        assert got == run_parse(capsys, parse_all, argv)
+        code, out, err = got
+        assert code == (0 if "-h" in argv else 2)
+        assert (out if code == 0 else err) != ""
+        if "--bogus" in argv:
+            assert err.startswith(
+                "usage: momest [-h] {coeffs,estimate,test,simulate} ...\n")
+            assert err.endswith("unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "fisher", "5", "12", "--mode", "paper", "--format",
+         "json"],
+        ["estimate", "beta", "--input", "s.csv", "--column", "x",
+         "--format", "json"],
+        ["test", "uniform", "0", "1", "--input", "s.txt", "--sigma",
+         "plugin", "--mode", "verbatim"],
+        ["simulate", "gamma", "2", "3", "--n", "20", "-B", "5", "--seed",
+         "7", "--sigma-methods", "plugin", "replication", "--out", "d",
+         "--workers", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_namespace_matches_a_full_parser(self, monkeypatch, argv):
+        seen = []
+        entry = COMMANDS[argv[0]]
+        monkeypatch.setitem(COMMANDS, argv[0], entry._replace(
+            run=lambda args: seen.append(args) or EXIT_OK))
+        assert main(argv) == EXIT_OK
+        assert seen == [parse_all(argv)]
+
+    def test_a_call_builds_only_its_own_command(self, capsys, tmp_path,
+                                                monkeypatch):
+        built = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def record(parser, *names, **kwargs):
+            if kwargs.get("action") != "help":
+                built.append(parser.prog)
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        path = write_sample(tmp_path, [1.0, 2.0, 4.0])
+        code, _, _ = run_cli(capsys, "test", "gamma", "2", "3", "--input",
+                             path)
+        assert code in (EXIT_OK, EXIT_REJECT)
+        assert built == ["momest test"] * 8
+        built.clear()
+        build_parser()
+        assert sorted(set(built)) == sorted(f"momest {name}"
+                                            for name in COMMANDS)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -982,10 +1082,11 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         assert doc["influence_a"]["c1"] == pytest.approx(4.0, rel=1e-10)
 
-    def test_console_script_if_installed(self):
-        """The ``momest`` script declared in pyproject.toml runs its target
-        the way the pip-generated wrapper does, with or without an install;
-        where an installed ``momest`` is on PATH, that script runs too."""
+    @staticmethod
+    def console_commands():
+        """The ``momest`` script declared in pyproject.toml, run the way the
+        pip-generated wrapper runs its target, and, where an installed
+        ``momest`` is on PATH, that script too."""
         try:
             import tomllib
         except ModuleNotFoundError:  # Python 3.10
@@ -1000,9 +1101,29 @@ class TestEntryPoint:
         installed = shutil.which("momest")
         if installed:
             commands.append([installed])
-        for command in commands:
-            proc = subprocess.run(command + ["coeffs", "gamma", "2", "3"],
-                                  capture_output=True, text=True,
-                                  env=child_env())
+        return commands
+
+    def run_console(self, *argv):
+        return [subprocess.run(command + list(argv), capture_output=True,
+                               text=True, env=child_env())
+                for command in self.console_commands()]
+
+    def test_console_script_if_installed(self):
+        for proc in self.run_console("coeffs", "gamma", "2", "3"):
             assert proc.returncode == 0, proc.stderr
             assert "s11=12" in proc.stdout
+
+    def test_console_script_help_lists_every_command(self):
+        for proc in self.run_console("-h"):
+            assert proc.returncode == 0, proc.stderr
+            assert "{coeffs,estimate,test,simulate}" in proc.stdout
+            for name, entry in COMMANDS.items():
+                assert re.search(rf"^ +{name} +{re.escape(entry.help)}$",
+                                 proc.stdout, re.M), name
+
+    def test_console_script_without_arguments(self):
+        for proc in self.run_console():
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.endswith(
+                "the following arguments are required: command\n")

@@ -155,6 +155,21 @@ class TestDegenerateInputs:
         with pytest.raises(DegenerateSampleError, match="S\\^2 > 0"):
             estimate(LawKind.GAMMA, empirical_moments([2.0, 2.0, 2.0]))
 
+    def test_uniform_zero_variance(self):
+        """A zero-spread sample has no uniform law: b_hat = a_hat would
+        name Uniform(2, 2), which ``LawSpec`` refuses; ``estimate_rows``
+        counts the row as infeasible."""
+        with pytest.raises(DegenerateSampleError,
+                           match="uniform estimator requires S\\^2 > 0, "
+                                 "got S\\^2=0.0"):
+            estimate(LawKind.UNIFORM, empirical_moments([2.0, 2.0, 2.0]))
+        a_hat, b_hat, feasible = estimate_rows(
+            LawKind.UNIFORM, np.array([[2.0, 2.0, 2.0], [0.0, 2.0, 1.0]]))
+        assert feasible.tolist() == [False, True]
+        est = estimate(LawKind.UNIFORM, empirical_moments([0.0, 2.0, 1.0]))
+        assert (a_hat.tolist(), b_hat.tolist()) == ([est.a_hat],
+                                                    [est.b_hat])
+
     def test_beta_mean_above_mean_sq(self):
         with pytest.raises(DegenerateSampleError, match="mean - mean_sq"):
             estimate(LawKind.BETA, empirical_moments([1.2, 1.4, 1.5]))

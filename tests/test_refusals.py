@@ -64,7 +64,8 @@ REFUSALS = {
                       "beta estimator requires mean < 1, got 1.5"),
     "est-uniform": (
         lambda: estimate(UNIFORM, moments(1.0, 1.0, -1.0, -1.0)),
-        DegenerateSampleError, "negative variance -1.0"),
+        DegenerateSampleError,
+        "uniform estimator requires S^2 > 0, got S^2=-1.0"),
     "est-fisher-mean": (
         lambda: estimate(FISHER, moments(0.5, 1.0, 1.0, 1.0)),
         InfeasibleMomentError,
