@@ -31,7 +31,8 @@ The four covariance routes:
   the density over the truncated support [Q(eps), Q(1-eps)], eps = 1e-9,
   with geometric upper-tail extension for unbounded supports; the five
   integrals E[H], E[L], E[H^2], E[L^2] and E[HL] share every node array and
-  its density values, and each stops at its own tolerance,
+  its density values, and each stops at its own tolerance; an E[H] or E[L]
+  that misses its closed form c1 m1 + c2 m2 is refused,
 * plugin: sample variance/covariance of the influence values on one sample
   (:func:`plugin_rows` computes it for every row of a sample block),
 * replication: sample covariance of replicated sqrt(n) deviations.
@@ -73,6 +74,10 @@ TRUNCATION_EPS = 1e-9
 
 #: Most geometric blocks [x, 2x] appended past Q(1 - eps) in quadrature.
 TAIL_BLOCKS = 60
+
+#: How far, relative to max(1, |c1 m1 + c2 m2|), a quadrature E[H] or E[L]
+#: may miss its closed form before the quadrature sigma is refused.
+MEAN_RTOL = 1e-5
 
 
 class CoefficientMode(str, Enum):
@@ -290,9 +295,12 @@ def covariance_exact_quadrature(
     quadrature: s11 = E[H(X)^2] - E[H(X)]^2 and so on, each expectation an
     integral over the truncated support.  Beta laws with b < 1, whose
     density is unbounded at x = 1, are refused: the rule cannot integrate
-    that endpoint."""
+    that endpoint.  So is a result whose E[H] or E[L] misses c1 m1 + c2 m2
+    by more than ``MEAN_RTOL`` relative to max(1, |c1 m1 + c2 m2|): the
+    rule has not resolved the density (x^(a-1) of a Beta law with a tiny
+    a), and its sums are wrong by as much."""
     _family(law.kind).check_quadrature(law)
-    _required_moments(law, h, l)  # integrability guard
+    m1, m2 = _required_moments(law, h, l)[:2]  # also the integrability guard
 
     def weights(x):
         w = np.empty((5, x.size))
@@ -302,6 +310,14 @@ def covariance_exact_quadrature(
         return w
 
     eh, el, eh2, el2, ehl = _expectations(law, weights, cfg).tolist()
+    for name, infl, got in (("H", h, eh), ("L", l, el)):
+        want = infl.c1 * m1 + infl.c2 * m2
+        if abs(got - want) > MEAN_RTOL * max(1.0, abs(want)):
+            raise QuadratureError(
+                f"exact-quadrature sigma of {law}: E[{name}] came to "
+                f"{got:.10g}, not c1 m1 + c2 m2 = {want:.10g}; the rule has "
+                f"not resolved the density; use exact-moments",
+                abscissa=math.nan)
     return Covariance2.build(eh2 - eh * eh, el2 - el * el, ehl - eh * el,
                              SigmaMethod.EXACT_QUADRATURE)
 

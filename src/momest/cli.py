@@ -23,13 +23,13 @@ Sample files are UTF-8, with or without a leading byte-order mark, one
 decimal per line; ``#`` starts a comment.  With ``--column NAME`` the input
 is parsed as a headered CSV instead, reading the one column headed NAME;
 blank cells and short rows are skipped.  Errors name the line of the file.
-A sample is read in up to three passes (see :func:`read_sample`): numpy's C
+A sample is read in one of two passes (see :func:`read_sample`): numpy's C
 reader on the path itself, for plain and CSV files whose bytes pass checks
 that each keep it from reading what the Python reader would not (a pipe, a
 compressed file, line ends and quotes that only one of them honours, long
-CSV lines); otherwise, or where it refuses a cell, one Python pass over the
-cells; and, if a cell is bad, a walk over the cells in file order that
-raises the first bad cell's error with its line.
+CSV lines); otherwise, or where it refuses a cell, one Python walk over the
+cells in file order that returns the values or raises the first bad cell's
+error with its line.
 The only environment variable consulted is ``MOMEST_OUTDIR``, the default
 output directory of ``simulate``.
 """
@@ -66,11 +66,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REJECT = 3
 EXIT_SINGULAR = 4
-
-#: A ``#`` comment to the end of its line; the class is exactly the line
-#: boundaries of ``str.splitlines``.  A comment becomes one space, so that
-#: one between "\r" and "\n" does not join them into one boundary.
-_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 #: Bytes after which :func:`_read_in_c` leaves a file to the Python pass:
 #: NUL, and the ASCII line boundaries of ``str.splitlines`` that do not
@@ -176,7 +171,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
     """One value per line, or the ``column`` of a headered CSV.
 
-    The values come from the first of three passes that accepts the file:
+    The values come from the first of two passes that accepts the file:
 
     1. a file whose bytes pass the checks of :func:`_read_in_c`, plain or
        CSV, is read by numpy's C text reader from its path in one call;
@@ -184,30 +179,23 @@ def read_sample(path: str, column: Optional[str]) -> np.ndarray:
        file, that pass 2 would treat otherwise (a file it splits into
        other lines or cells, reads differently or not at all), and a
        blank cell in the read CSV column makes it fail;
-    2. otherwise the stripped cells that are not blank go through
-       ``float`` in one Python pass;
-    3. if the first pass that ran refuses a cell, a value is not finite,
-       or the CSV reader fails, the text is walked again cell by cell in
-       file order through :func:`_walk_cells`, so the first bad cell
-       raises its own message with its line.
+    2. otherwise, or if that reader refuses a cell, :func:`_walk_cells`
+       parses the cells one by one in file order, so a bad cell, a value
+       that is not finite or a CSV reader failure raises its own message
+       with its line.
 
     Both readers parse a cell with CPython's correctly rounded
-    ``PyOS_string_to_double``, so passes 1 and 2 give the same bits.
+    ``PyOS_string_to_double``, so both passes give the same bits.  Values
+    read in C that are not all finite are read again in pass 2, which
+    names the first one.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise SampleParseError(f"cannot read {path}: {exc}")
     values = _read_in_c(data, path, column)
-    if values is None:
-        cells, _ = _cells(_text(data, path), path, column)
-        stripped = filter(None, map(str.strip, cells))
-        try:
-            values = np.array(list(map(float, stripped)))
-        except (ValueError, csv.Error):
-            values = None
     if values is None or not np.isfinite(values).all():
-        _walk_cells(_text(data, path), path, column)
+        values = _walk_cells(_text(data, path), path, column)
     if not values.size:
         raise SampleParseError(f"{path}: no values found")
     return values
@@ -324,26 +312,29 @@ def _cells(text: str, path: str, column: Optional[str]):
     as the rows are read.
     """
     if column is None:
-        return _COMMENT.sub(" ", text).splitlines(), None
+        return [line.split("#", 1)[0] for line in text.splitlines()], None
     reader = csv.reader(io.StringIO(text))
     index = _column_index(reader, path, column)
     return (row[index] for row in reader if index < len(row)), reader
 
 
-def _walk_cells(text: str, path: str, column: Optional[str]) -> None:
-    """Raises the error of the first bad cell: each cell that is not blank
-    is parsed and checked by :func:`_number` in file order.  A CSV file
-    that the reader refuses (a cell longer than ``csv.field_size_limit()``)
-    raises at the line where the reader stopped."""
+def _walk_cells(text: str, path: str, column: Optional[str]) -> np.ndarray:
+    """The values of the cells that are not blank, each stripped, parsed
+    and checked by :func:`_number` in file order, so the first bad cell
+    raises its error.  A CSV file that the reader refuses (a cell longer
+    than ``csv.field_size_limit()``) raises at the line where the reader
+    stopped."""
     cells, reader = _cells(text, path, column)
+    values = []
     try:
         for lineno, cell in enumerate(cells, start=1):
             cell = cell.strip()
             if cell:
-                _number(cell, path,
-                        lineno if reader is None else reader.line_num)
+                values.append(_number(
+                    cell, path, lineno if reader is None else reader.line_num))
     except csv.Error as exc:
         raise SampleParseError(f"{path}:{reader.line_num}: {exc}")
+    return np.array(values)
 
 
 def _number(cell: str, path: str, lineno: int) -> float:

@@ -35,11 +35,12 @@ class SingularCovarianceError(MomestError, ValueError):
 
 
 class QuadratureError(MomestError, ArithmeticError):
-    """The integrand produced a non-finite value, or the upper tail of an
-    exact-quadrature Σ integral had not settled after its last block.
+    """The integrand produced a non-finite value, the upper tail of an
+    exact-quadrature Σ integral had not settled after its last block, or
+    its E[H] or E[L] missed the closed form.
 
-    Carries in ``abscissa`` the offending node, or the point where the tail
-    extension stopped.
+    Carries in ``abscissa`` the offending node, the point where the tail
+    extension stopped, or nan where no one point is at fault.
     """
 
     def __init__(self, message: str, abscissa: float):

@@ -248,6 +248,19 @@ class TestExactQuadrature:
             covariance_exact_quadrature(law, h, l)
         assert covariance_exact_moments(law, h, l).s11 > 0.0
 
+    @pytest.mark.parametrize("a, b", [(0.001, 10.0), (1e-8, 1e8)])
+    def test_unresolved_beta_edge_refused(self, a, b):
+        """The rule cannot resolve the x^(a-1) edge of a Beta law with a
+        tiny a: its sums were once returned as they were (s11 off by
+        -0.16% for Beta(0.001, 10), -68% for Beta(1e-8, 1e8)), and now the
+        E[H] or E[L] that misses c1 m1 + c2 m2 refuses them."""
+        law = LawSpec.beta(a, b)
+        h, l = influence_pair(law)
+        with pytest.raises(QuadratureError, match=r"E\[L\] came to .*, not "
+                           r"c1 m1 \+ c2 m2 = .*; use exact-moments$"):
+            covariance_exact_quadrature(law, h, l)
+        assert covariance_exact_moments(law, h, l).s11 > 0.0
+
     def test_density_unbounded_at_zero_converges(self):
         law = LawSpec.beta(0.5, 2.0)
         h, l = influence_pair(law)

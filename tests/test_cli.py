@@ -112,7 +112,12 @@ class TestCoeffs:
         (("fisher", "5", "8.8"),
          "exact-quadrature sigma of fisher(5, 8.8): the upper tail has not "
          "settled after 60 blocks [x, 2x] up to x = 3.78302e+20; use "
-         "exact-moments")], ids=["beta", "fisher"])
+         "exact-moments"),
+        (("beta", "1e-8", "1e8"),
+         "exact-quadrature sigma of beta(1e-08, 1e+08): E[L] came to "
+         "33468064.93, not c1 m1 + c2 m2 = 0.9999999851; the rule has not "
+         "resolved the density; use exact-moments")],
+        ids=["beta", "fisher", "beta-tiny-a"])
     def test_quadrature_refusal_keeps_exact_moments(self, capsys, law,
                                                     message):
         code, out, err = run_cli(capsys, "coeffs", *law)
@@ -546,16 +551,11 @@ class TestReadSample:
         assert [cell.strip() for cell in cells] == ["1", "", "x"]
 
     @pytest.mark.parametrize("column", [None, "value"])
-    def test_separator_padded_cells_need_no_walk(self, tmp_path, monkeypatch,
-                                                 column):
+    def test_separator_padded_cells_keep_their_values(self, tmp_path,
+                                                      column):
         """Cells ending in U+001C to U+001F, which ``float`` does not strip
-        itself, are read in the one pass; the cell-by-cell walk only ever
-        raises a bad cell's error.  (In a plain file U+001C to U+001E also
-        end the line; U+001F stays in the cell.)"""
-        def walk(*args):
-            raise AssertionError("walked a file with no bad cell")
-
-        monkeypatch.setattr(momest.cli, "_walk_cells", walk)
+        itself, read as the values before the separator.  (In a plain file
+        U+001C to U+001E also end the line; U+001F stays in the cell.)"""
         cells = [f"{k / 7!r}{chr(0x1C + k % 4)}" for k in range(2000)]
         lines = cells if column is None else [
             f"{k},{cell}" for k, cell in enumerate(cells)]
@@ -565,6 +565,33 @@ class TestReadSample:
         got = read_sample(str(path), column)
         want = np.array([k / 7 for k in range(2000)])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("column, header, suffix", [
+        (None, "# draws \u00e9\n", "#\u00e9"),
+        ("value", '"id","value"\n', ""),
+    ], ids=["plain-non-ascii", "csv-quoted"])
+    def test_python_pass_splits_the_text_once(self, tmp_path, monkeypatch,
+                                              column, header, suffix):
+        """A file the C pass leaves to the Python pass, with a bad cell on
+        its last line, is split into cells once, and the error names that
+        cell and its line."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _cells(*args)
+
+        monkeypatch.setattr(momest.cli, "_cells", counted)
+        rows = [f"{k / 7!r}{suffix}" for k in range(500)] + ["x"]
+        if column is not None:
+            rows = [f"{k},{row}" for k, row in enumerate(rows)]
+        path = tmp_path / "sample"
+        path.write_text(header + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(SampleParseError, match=(
+                f"^{re.escape(str(path))}:502: could not parse 'x' as a "
+                f"number$")):
+            read_sample(str(path), column)
+        assert len(calls) == 1
 
     TOKENS = (list("0123456789") + ["-", "+", ".", "e", "E", "_", "#", " ",
               "\t", "\xa0", "\x1c", "\x1f", "\u2028", "\x0c", "\r\n", "\r",
@@ -801,6 +828,22 @@ class TestTestCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "fisher(5, 8.1)" in err and "use exact-moments" in err
+
+    def test_exact_quadrature_refuses_unresolved_beta_edge(self, capsys,
+                                                          tmp_path):
+        """Beta(0.001, 10): the rule cannot resolve x^(a-1) at x = 0, and
+        its E[L] misses the closed form by 5.5e-4."""
+        path = write_sample(tmp_path, [0.001, 0.01, 0.002, 0.3, 0.05])
+        code, out, err = run_cli(capsys, "test", "beta", "0.001", "10",
+                                 "--input", path, "--sigma",
+                                 "exact-quadrature")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: exact-quadrature sigma of beta(0.001, "
+                              "10): E[L] came to ")
+        assert err.endswith("; use exact-moments\n")
+        code, _, _ = run_cli(capsys, "test", "beta", "0.001", "10",
+                             "--input", path, "--sigma", "exact-moments")
+        assert code in (EXIT_OK, EXIT_REJECT)
 
     @pytest.mark.parametrize("mode", ["canonical", "verbatim"])
     def test_variance_square_underflow_exit_input(self, capsys, tmp_path,
