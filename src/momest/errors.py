@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all momest modules."""
 
+import operator
+
 __all__ = ["MomestError", "DomainError", "MomentDomainError",
            "DegenerateSampleError", "InfeasibleMomentError",
            "InsufficientDataError", "SingularCovarianceError",
@@ -50,3 +52,13 @@ class QuadratureError(MomestError, ArithmeticError):
 
 class SampleParseError(MomestError, ValueError):
     """A sample file could not be parsed; message names the offending line."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index``; a float, a string or any
+    other non-integer raises :class:`DomainError` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(
+            f"{name} must be an integer, got {value!r}") from None

@@ -54,9 +54,7 @@ def empirical_moments(sample) -> EmpiricalMoments:
     and finite values too large for a moment to stay finite, raise
     :class:`DomainError`.
     """
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
+    x = np.asarray(sample, dtype=float).ravel()
     n = x.size
     if n < 2:
         raise InsufficientDataError(
@@ -130,7 +128,5 @@ def estimate_rows(kind: LawKind, x) -> tuple:
     feasible = checks[0][0]
     for holds, *_ in checks[1:]:
         feasible = feasible & holds
-    if not feasible.all():
-        terms = tuple(t[feasible] for t in terms)
-    a_hat, b_hat = family.estimator(*terms)
+    a_hat, b_hat = family.estimator(*(t[feasible] for t in terms))
     return a_hat, b_hat, feasible

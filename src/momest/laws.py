@@ -31,7 +31,7 @@ import numpy as np
 
 from . import special
 from .errors import (DegenerateSampleError, DomainError,
-                     InfeasibleMomentError, MomentDomainError)
+                     InfeasibleMomentError, MomentDomainError, _integer)
 from .rng import RowStreams, Workspace
 
 __all__ = [
@@ -586,7 +586,7 @@ def sample_rows(law: LawSpec, n: int, seeds,
     The draws take their scratch arrays from ``workspace`` (a new one if
     none is given); consecutive calls of one thread may share it.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     ws = Workspace() if workspace is None else workspace
     streams = RowStreams(seeds, ws)

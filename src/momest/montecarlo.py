@@ -22,7 +22,6 @@ records of row blocks and thread ranges merge in replication order.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ from .asymptotics import (CoefficientMode, Covariance2, QuadraticInfluence,
                           SigmaMethod, covariance_replication, influence_pair,
                           plugin_rows, sigma_for)
 from .errors import (DegenerateSampleError, DomainError,
-                     InsufficientDataError, MomestError)
+                     InsufficientDataError, MomestError, _integer)
 from .estimation import _require_finite, estimate_rows
 from .laws import LawSpec, _member, sample_rows
 from .rng import Workspace, _substream_seeds
@@ -93,11 +92,7 @@ class SimulationConfig:
             _member(SigmaMethod, m, "sigma method")
             for m in self.sigma_methods))
         for name in ("n", "replications", "master_seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.replications < 2:
@@ -308,7 +303,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1
     the report is byte-identical to a serial run.  The exact Σ routes run
     before the replications, so a law they refuse fails at once.
     """
-    if workers < 1:
+    if _integer(workers, "workers") < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     law, n, methods = cfg.law, cfg.n, cfg.sigma_methods
     h, l = influence_pair(law, cfg.coefficient_mode)

@@ -49,10 +49,14 @@ algorithm, in order of consumption:
 :class:`RowStreams` advances many such streams at once, one per row of its
 output: each row keeps its own seed and counter, and the layout above holds
 within every row, so row ``r`` holds exactly what ``Stream(seeds[r])`` draws.
-:class:`Stream` is its one-row case.  All state lives in the instance;
-nothing global is touched.  Draws write their intermediates into the
-scratch arrays of a :class:`Workspace`, which one caller may reuse from call
-to call; reused buffers change no draw.
+:class:`Stream` is its one-row case: one rejection-round path serves one
+row and many, so a single stream runs the same code as every row of a
+block.  A seed is any integer (``operator.index``), reduced mod 2^64, and a
+substream index an integer in [1, 2^64); a float, a string or any other
+value raises :class:`DomainError` rather than being truncated.  All state
+lives in the instance; nothing global is touched.  Draws write their
+intermediates into the scratch arrays of a :class:`Workspace`, which one
+caller may reuse from call to call; reused buffers change no draw.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 __all__ = ["RowStreams", "Stream", "Workspace", "substream_seed"]
 
@@ -121,6 +125,8 @@ def _substream_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
 def substream_seed(master_seed: int, index: int) -> int:
     """Derived seed for substream ``index`` (1 <= index < 2^64) of
     ``master_seed``."""
+    master_seed = _integer(master_seed, "master seed")
+    index = _integer(index, "substream index")
     if not 1 <= index <= _MASK:
         raise DomainError(
             f"substream index must be >= 1 and < 2**64, got {index}")
@@ -175,8 +181,8 @@ class RowStreams:
         if isinstance(seeds, np.ndarray) and seeds.dtype == _U64:
             self._seeds = seeds.copy()
         else:
-            self._seeds = np.array([int(s) & _MASK for s in seeds],
-                                   dtype=_U64)
+            self._seeds = np.array(
+                [_integer(s, "seed") & _MASK for s in seeds], dtype=_U64)
         self._counters = np.zeros(self._seeds.size, dtype=_U64)
         self._ws = Workspace() if workspace is None else workspace
 
@@ -208,7 +214,7 @@ class RowStreams:
             keys = ws.take("keys", (lanes, row.size), _U64)
             np.take(base + lane * m * _GOLDEN, row, axis=1, out=keys,
                     mode="clip")  # "raise" would buffer the output
-            keys += np.arange(row.size, dtype=_U64) * _GOLDEN
+            keys += ws.steps(row.size)
             self._counters += _U64(lanes) * m
         return _mix(keys, ws.take("shift", keys.shape, _U64))
 
@@ -243,8 +249,8 @@ class RowStreams:
         ``FIRST_ROUND_VALUES`` values (one row if a row is longer), so that
         its workspace buffers stay cache-sized however many rows there are;
         the later rounds then run once over the rejected slots of every
-        row.  Rows are independent streams, so the chunking changes no
-        draw."""
+        row, on the same path for one row as for many.  Rows are
+        independent streams, so the chunking changes no draw."""
         if not 0.0 < shape < math.inf:
             raise DomainError(
                 f"gamma shape must be finite and > 0, got {shape}")
@@ -273,12 +279,9 @@ class RowStreams:
                            + lo * count)
         pending = np.concatenate(pending)
         while pending.size:
-            if rows == 1:
-                v, accept = self._candidates(d, c, pending.size)
-            else:
-                row = pending // count
-                v, accept = self._candidates(
-                    d, c, np.bincount(row, minlength=rows).astype(_U64), row)
+            row = pending // count
+            v, accept = self._candidates(
+                d, c, np.bincount(row, minlength=rows).astype(_U64), row)
             flat[pending[accept]] = d * v[accept]
             pending = pending[~accept]
         return out
@@ -303,17 +306,17 @@ class RowStreams:
         accept &= pos
         pos ^= accept  # accept implies pos: now pos & ~accept
         slow = np.flatnonzero(pos)
-        if slow.size:
-            vs = v[slow]
-            accept[slow] = np.log(u[slow]) < (
-                0.5 * x2[slow] + d * (1.0 - vs + np.log(vs)))
+        vs = v[slow]
+        accept[slow] = np.log(u[slow]) < (
+            0.5 * x2[slow] + d * (1.0 - vs + np.log(vs)))
         return v, accept
 
 
 class Stream:
     """One counter-based deviate stream, the one-row case of
-    :class:`RowStreams`; see the module docstring for the exact algorithm
-    of every draw."""
+    :class:`RowStreams`, whose draws, rejection rounds included, run the
+    same code as a row of a block; see the module docstring for the exact
+    algorithm of every draw."""
 
     def __init__(self, seed: int):
         self._rows = RowStreams([seed])

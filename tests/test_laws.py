@@ -11,7 +11,7 @@ import pytest
 
 from momest import (DEFAULT_QUAD_CONFIG, DomainError, LawKind, LawSpec,
                     MomentDomainError, cdf, pdf, quantile, sample,
-                    theoretical_moments, trapezoid_integrate)
+                    sample_rows, theoretical_moments, trapezoid_integrate)
 from momest.laws import _family
 
 ACCEPTANCE_LAWS = [
@@ -284,6 +284,19 @@ class TestSampling:
     def test_size_validation(self):
         with pytest.raises(DomainError):
             sample(LawSpec.gamma(2.0, 3.0), 0, 1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda law: sample(law, 2.5, 1), "n must be an integer, got 2.5"),
+        (lambda law: sample_rows(law, 2.5, [1, 2]),
+         "n must be an integer, got 2.5"),
+        (lambda law: sample(law, 5, 7.9), "seed must be an integer, got 7.9"),
+        (lambda law: sample(law, 5, "7"), "seed must be an integer, got '7'"),
+    ], ids=["size", "rows-size", "float-seed", "str-seed"])
+    def test_non_integer_argument_refused(self, call, message):
+        """Neither truncated nor a bare TypeError."""
+        with pytest.raises(DomainError) as info:
+            call(LawSpec.gamma(2.0, 3.0))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("a, b", [(-0.1, 0.3), (0.0, 1.0)])
     def test_uniform_draw_of_one_is_b(self, a, b):

@@ -116,6 +116,13 @@ class TestDeterminism:
             with pytest.raises(DomainError, match="workers must be >= 1"):
                 run_simulation(cfg, workers=workers)
 
+    def test_non_integer_workers_refused(self):
+        cfg = SimulationConfig(law=GAMMA23, n=20, replications=10,
+                               master_seed=1)
+        with pytest.raises(DomainError) as info:
+            run_simulation(cfg, workers=1.5)
+        assert str(info.value) == "workers must be an integer, got 1.5"
+
     def test_threads_leave_nothing_running(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         cfg = SimulationConfig(law=GAMMA23, n=50, replications=60,

@@ -1,6 +1,8 @@
 """The counter-based generator against an independent pure-python reference,
 plus sampler moment checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,51 @@ def reference_mix(z):
     return z ^ (z >> 31)
 
 
-def reference_outputs(seed, count):
-    """Pure-python splitmix64 stream."""
+def reference_outputs(seed, count, start=0):
+    """Pure-python splitmix64 stream: outputs start + 1 .. start + count."""
     return [reference_mix((seed + k * 0x9E3779B97F4A7C15) & MASK)
-            for k in range(1, count + 1)]
+            for k in range(start + 1, start + count + 1)]
+
+
+def reference_uniforms(seed, count, start):
+    """Uniforms in (0, 1] from outputs start + 1 .. start + count: the top
+    53 bits plus one half, times 2^-53, in python floats."""
+    return np.array([((r >> 11) + 0.5) * 2.0 ** -53
+                     for r in reference_outputs(seed, count, start)])
+
+
+def reference_gammas(seed, shape, count):
+    """Gamma(shape) deviates and the counter after them, rebuilt from the
+    module docstring of momest.rng: per round the slot of rank i among m
+    empty ones takes u1, u2 and u from outputs c + 1 + i, c + 1 + m + i and
+    c + 1 + 2m + i, and the counter advances by 3m; a shape below 1 boosts
+    a Gamma(shape + 1) batch by one more uniform per value.  The maths runs
+    in numpy arrays, in the operation order of the generator."""
+    if shape < 1.0:
+        g, used = reference_gammas(seed, shape + 1.0, count)
+        boost = reference_uniforms(seed, count, used)
+        return g * boost ** (1.0 / shape), used + count
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(count)
+    pending = np.arange(count)
+    used = 0
+    while pending.size:
+        m = pending.size
+        u1, u2, u = (reference_uniforms(seed, m, used + lane * m)
+                     for lane in range(3))
+        used += 3 * m
+        x = np.sqrt(np.log(u1) * -2.0) * np.cos(u2 * (2.0 * np.pi))
+        v = (x * c + 1.0) ** 3
+        x2 = x * x
+        quick = (u < 1.0 - x2 * 0.0331 * x2) & (v > 0.0)
+        slow = np.flatnonzero((v > 0.0) & ~quick)
+        accept = quick.copy()
+        accept[slow] = np.log(u[slow]) < (
+            0.5 * x2[slow] + d * (1.0 - v[slow] + np.log(v[slow])))
+        out[pending[accept]] = d * v[accept]
+        pending = pending[~accept]
+    return out, used
 
 
 class TestRawStream:
@@ -118,6 +161,58 @@ class TestGammas:
     def test_non_finite_shape_refused(self, shape):
         with pytest.raises(DomainError, match="finite"):
             RowStreams([1, 2]).gammas(shape, 10)
+
+
+class TestGammaRounds:
+    """Every gamma draw, one row or many, against the rejection rounds
+    rebuilt from the documented counter layout alone."""
+
+    @pytest.mark.parametrize("seed", [5, 2024, 2 ** 63 + 97])
+    @pytest.mark.parametrize("shape", [0.4, 1.0, 2.5, 6.0])
+    def test_matches_reference(self, shape, seed):
+        want, used = reference_gammas(seed, shape, 3000)
+        stream = Stream(seed)
+        got = stream.gammas(shape, 3000)
+        assert got.tobytes() == want.tobytes()
+        assert stream.consumed == used
+        rows = RowStreams([seed ^ 1, seed, 77])
+        block = rows.gammas(shape, 3000)
+        assert block[1].tobytes() == want.tobytes()
+        # the row's next raw output is the one after its last round
+        assert int(rows.raw(1)[1, 0]) == reference_outputs(seed, 1, used)[0]
+
+
+class TestIntegerArguments:
+    """Seeds and substream indices go through operator.index: a value that
+    is not an integer is refused by name, never truncated."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Stream(2.5), "seed must be an integer, got 2.5"),
+        (lambda: RowStreams([1.9, 2.1]), "seed must be an integer, got 1.9"),
+        (lambda: RowStreams(np.array([3.0])),
+         f"seed must be an integer, got {np.float64(3.0)!r}"),
+        (lambda: Stream("7"), "seed must be an integer, got '7'"),
+        (lambda: substream_seed(1, 1.5),
+         "substream index must be an integer, got 1.5"),
+        (lambda: substream_seed(1.5, 1),
+         "master seed must be an integer, got 1.5"),
+    ], ids=["stream", "row-streams", "float-array", "str", "index",
+            "master"])
+    def test_non_integer_refused(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_integers_still_accepted(self):
+        """numpy integers, uint64 seed arrays and ints reduced mod 2^64."""
+        want = Stream(7).raw(3).tolist()
+        assert Stream(np.int64(7)).raw(3).tolist() == want
+        assert Stream(7 + (MASK + 1)).raw(3).tolist() == want
+        assert Stream(-1).raw(3).tolist() == Stream(MASK).raw(3).tolist()
+        seeds = np.array([7, MASK], dtype=np.uint64)
+        assert RowStreams(seeds).raw(3)[0].tolist() == want
+        assert (substream_seed(np.uint64(7), np.int64(3))
+                == substream_seed(7, 3))
 
 
 class TestSubstreams:
