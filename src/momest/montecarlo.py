@@ -18,6 +18,12 @@ and excluded (never resampled, which would bias calibration rates).
 Reports are bit-identical for identical configurations regardless of the
 worker count: replication j depends only on its own substream, and the
 records of row blocks and thread ranges merge in replication order.
+
+Two things outlive a study, so that a process running many studies (a sweep
+over n and seeds) pays for them once: the influence pair and the exact-route
+Σs of a law, memoized per (law, coefficient mode, exact routes), and the
+spare row-block workspaces that replication ranges take and give back.
+Neither changes a report bit.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -237,38 +245,46 @@ def _simulate_block(law: LawSpec, n: int, master_seed: int,
     The blocks draw and reduce into one workspace, see :func:`_workspace`.
     """
     rows = max(1, ROW_BLOCK_VALUES // n)
-    workspace = _workspace(n)
     parts = []
-    for lo in range(j_lo, j_hi, rows):
-        seeds = _substream_seeds(master_seed, lo, min(lo + rows, j_hi))
-        x = sample_rows(law, n, seeds, workspace)
-        a_hat, b_hat, feasible = estimate_rows(law.kind, x)
-        if not feasible.all():
-            x = x[feasible]
-        s11, s22, s12 = plugin_rows(x, h, l, workspace)
-        parts.append(_Replicates(
-            a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
-            feasible.size - np.count_nonzero(feasible)))
+    with _workspace(n) as workspace:
+        for lo in range(j_lo, j_hi, rows):
+            seeds = _substream_seeds(master_seed, lo, min(lo + rows, j_hi))
+            x = sample_rows(law, n, seeds, workspace)
+            a_hat, b_hat, feasible = estimate_rows(law.kind, x)
+            if not feasible.all():
+                x = x[feasible]
+            s11, s22, s12 = plugin_rows(x, h, l, workspace)
+            parts.append(_Replicates(
+                a_hat, b_hat, np.sqrt(s11), np.sqrt(s22), s12,
+                feasible.size - np.count_nonzero(feasible)))
     return parts
 
 
-_THREAD = threading.local()
+_SPARE: list[Workspace] = []
+_SPARE_LOCK = threading.Lock()
 
 
-def _workspace(n: int) -> Workspace:
-    """The workspace of the calling thread's row blocks of n values a row.
+@contextmanager
+def _workspace(n: int) -> Iterator[Workspace]:
+    """A workspace for one range's row blocks of n values a row.
 
-    For n <= ``ROW_BLOCK_VALUES`` the thread keeps one workspace for its
-    life, so that its studies after the first fault no buffer in; the
-    buffers stay within a few row blocks of values.  A larger n gets a
-    workspace of its own, freed with its study.
+    For n <= ``ROW_BLOCK_VALUES`` a range takes a spare workspace, or makes
+    one if none is spare, and gives it back when it ends, so that the
+    ranges after the first, on any thread and in any study, fault no buffer
+    in; two live ranges never share one, and the buffers stay within a few
+    row blocks of values.  A larger n gets a workspace of its own, freed
+    with its range.
     """
     if n > ROW_BLOCK_VALUES:
-        return Workspace()
-    workspace = getattr(_THREAD, "workspace", None)
-    if workspace is None:
-        workspace = _THREAD.workspace = Workspace()
-    return workspace
+        yield Workspace()
+        return
+    with _SPARE_LOCK:
+        workspace = _SPARE.pop() if _SPARE else Workspace()
+    try:
+        yield workspace
+    finally:
+        with _SPARE_LOCK:
+            _SPARE.append(workspace)
 
 
 def _replicate(cfg: SimulationConfig, h: QuadraticInfluence,
@@ -295,21 +311,38 @@ def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+_EXACT_ROUTES = (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE)
+
+
+@lru_cache
+def _law_constants(law: LawSpec, mode: CoefficientMode,
+                   routes: Tuple[SigmaMethod, ...]) -> tuple:
+    """The influence pair (h, l) of ``law`` in ``mode`` and the pairs
+    (route, Σ) of the exact Σ routes in ``routes``: they depend on neither n
+    nor the seed, so a process computes them once per key and its studies
+    share the frozen objects.  A refusal is not stored, so it raises
+    again."""
+    h, l = influence_pair(law, mode)
+    return h, l, tuple((m, sigma_for(m, law, h, l)) for m in routes)
+
+
 def run_simulation(cfg: SimulationConfig, workers: int = 1
                    ) -> SimulationReport:
     """Run the full replication study described by ``cfg``.
 
     ``workers`` > 1 splits the replications over up to that many threads;
-    the report is byte-identical to a serial run.  The exact Σ routes run
-    before the replications, so a law they refuse fails at once.
+    the report is byte-identical to a serial run.  The influence pair and
+    the exact Σ routes come from :func:`_law_constants`, computed by the
+    first study of a law in the process; they run before the replications,
+    so a law they refuse fails at once, in every study.  The plugin and
+    replication Σ depend on the draws and are computed per study.
     """
     if _integer(workers, "workers") < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     law, n, methods = cfg.law, cfg.n, cfg.sigma_methods
-    h, l = influence_pair(law, cfg.coefficient_mode)
-    exact_routes = (SigmaMethod.EXACT_MOMENTS, SigmaMethod.EXACT_QUADRATURE)
-    sigmas = {m: sigma_for(m, law, h, l)
-              for m in exact_routes if m in methods}
+    h, l, exact = _law_constants(law, cfg.coefficient_mode, tuple(
+        m for m in _EXACT_ROUTES if m in methods))
+    sigmas = dict(exact)
 
     rep = _replicate(cfg, h, l, workers)
     if rep.a_hat.size < 2:

@@ -51,9 +51,10 @@ output: each row keeps its own seed and counter, and the layout above holds
 within every row, so row ``r`` holds exactly what ``Stream(seeds[r])`` draws.
 :class:`Stream` is its one-row case: one rejection-round path serves one
 row and many, so a single stream runs the same code as every row of a
-block.  A seed is any integer (``operator.index``), reduced mod 2^64, and a
-substream index an integer in [1, 2^64); a float, a string or any other
-value raises :class:`DomainError` rather than being truncated.  All state
+block.  A seed is any integer (``operator.index``), reduced mod 2^64, a
+substream index an integer in [1, 2^64) and a draw count an integer >= 0
+(0 gives an empty row); a float, a string or any other value raises
+:class:`DomainError` rather than being truncated.  All state
 lives in the instance; nothing global is touched.  Draws write their
 intermediates into the scratch arrays of a :class:`Workspace`, which one
 caller may reuse from call to call; reused buffers change no draw.
@@ -122,6 +123,15 @@ def _substream_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return _mix(z, np.empty_like(z))
 
 
+def _count(count) -> int:
+    """A draw count as an int (``operator.index``); a non-integer or a
+    negative count raises :class:`DomainError` naming ``count``."""
+    count = _integer(count, "count")
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
+    return count
+
+
 def substream_seed(master_seed: int, index: int) -> int:
     """Derived seed for substream ``index`` (1 <= index < 2^64) of
     ``master_seed``."""
@@ -143,8 +153,8 @@ class Workspace:
     batch's first rejection round takes its key, shift and uniform buffers
     at the size of one chunk of at most ``FIRST_ROUND_VALUES`` values, the
     later rounds at the size of the rejected slots.  The buffers hold no
-    generator state.  A workspace must not be shared between threads: give
-    each its own.
+    generator state.  A workspace must not be used by two threads at once;
+    one thread may hand it on to another.
     """
 
     def __init__(self):
@@ -225,18 +235,21 @@ class RowStreams:
         return _to_uniforms(raw, self._ws.take("uniforms", raw.shape))
 
     def raw(self, count: int) -> np.ndarray:
+        count = _count(count)
         return self._draw(1, count).reshape(self.rows, count).copy()
 
     def uniforms(self, count: int, out=None) -> np.ndarray:
         """i.i.d. uniforms in (0, 1], written into ``out``, a C-contiguous
         (rows, count) array, when given; a value is 1.0 only when a raw
         output's top 53 bits are all ones (see the module docstring)."""
+        count = _count(count)
         if out is None:
             out = np.empty((self.rows, count))
         return _to_uniforms(self._draw(1, count).reshape(out.shape), out)
 
     def normals(self, count: int) -> np.ndarray:
         """i.i.d. standard normal deviates."""
+        count = _count(count)
         u1, u2 = self._uniform_lanes(2, count)
         return _box_muller(u1, u2, np.empty(u1.size)).reshape(self.rows,
                                                               count)
@@ -254,6 +267,7 @@ class RowStreams:
         if not 0.0 < shape < math.inf:
             raise DomainError(
                 f"gamma shape must be finite and > 0, got {shape}")
+        count = _count(count)
         rows, ws = self.rows, self._ws
         if out is None:
             out = np.empty((rows, count))

@@ -239,24 +239,49 @@ class TestWorkspace:
         assert all(len(found) == 1 for found in by_thread.values())
         assert len(set.union(*by_thread.values())) == 2
 
-
-    def test_thread_keeps_its_workspace_across_studies(self):
-        """Studies of one thread share its workspace up to
-        ``ROW_BLOCK_VALUES`` values a row; a longer row gets its own, and
-        another thread its own."""
-        mine = montecarlo._workspace(200)
+    def test_ranges_reuse_spare_workspaces(self, monkeypatch):
+        """A range of up to ``ROW_BLOCK_VALUES`` values a row gives its
+        workspace back when it ends, and the next range takes it, on any
+        thread and in any study; two live ranges never share one, and a
+        longer row gets one of its own that is never given back."""
         limit = montecarlo.ROW_BLOCK_VALUES
-        assert montecarlo._workspace(limit) is mine
-        assert montecarlo._workspace(2) is mine
-        assert montecarlo._workspace(limit + 1) is not mine
-        assert montecarlo._workspace(limit + 1) is not \
-            montecarlo._workspace(limit + 1)
+        with montecarlo._workspace(200) as first:
+            with montecarlo._workspace(200) as second:
+                assert second is not first
+            with montecarlo._workspace(limit + 1) as own:
+                assert own is not first and own is not second
+                with montecarlo._workspace(limit + 1) as other:
+                    assert other is not own
+        assert own not in montecarlo._SPARE
+        assert other not in montecarlo._SPARE
         found = []
-        thread = threading.Thread(
-            target=lambda: found.append(montecarlo._workspace(200)))
+
+        def later_range():
+            with montecarlo._workspace(limit) as workspace:
+                found.append(workspace)
+
+        thread = threading.Thread(target=later_range)
         thread.start()
         thread.join()
-        assert found[0] is not mine
+        assert found == [first]
+        with montecarlo._workspace(2) as again:
+            assert again is first
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        seen = []
+
+        def spy(law, n, row_seeds, workspace):
+            seen.append(workspace)
+            return sample_rows(law, n, row_seeds, workspace)
+
+        monkeypatch.setattr(montecarlo, "sample_rows", spy)
+        cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=200,
+                               replications=400, master_seed=5)
+        run_simulation(cfg, workers=2)
+        pooled = set(seen)
+        seen.clear()
+        run_simulation(cfg)
+        assert len(pooled) == 2 and set(seen) <= pooled
 
 
 class TestRowEstimates:

@@ -19,10 +19,17 @@ from momest import (CoefficientMode, Covariance2, DegenerateSampleError,
                     omnibus_test, parzen_density, qq_plot_data, ratio_table,
                     run_simulation, sample, sigma_for, substream_seed,
                     write_report)
-from momest import montecarlo
+from momest import asymptotics, cli, montecarlo
 from momest.montecarlo import _aggregate_plugin
 
 GAMMA23 = LawSpec.gamma(2.0, 3.0)
+ACCEPTANCE_LAWS = (GAMMA23, LawSpec.beta(2.0, 3.0), LawSpec.uniform(0.0, 1.0),
+                   LawSpec.fisher(5.0, 12.0))
+
+
+def bundle_bytes(report, out):
+    write_report(report, out)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
 class TestRunSimulationSmall:
@@ -91,8 +98,10 @@ class TestRunSimulationSmall:
         cfg = SimulationConfig(law=law, n=50, replications=30, master_seed=2,
                                sigma_methods=(SigmaMethod.REPLICATION,
                                               method))
-        with pytest.raises(MomestError, match=match):
-            run_simulation(cfg)
+        # the memo of a law's exact Σ stores no refusal: every study raises
+        for _ in range(2):
+            with pytest.raises(MomestError, match=match):
+                run_simulation(cfg)
 
 
 class TestDeterminism:
@@ -176,6 +185,91 @@ class TestDeterminism:
         r2 = run_simulation(cfg)
         assert np.array_equal(r1.dev_a, r2.dev_a)
         assert r1.error_a == r2.error_a
+
+
+class TestLawConstantsMemo:
+    """Studies of one law, coefficient mode and set of exact Σ routes share
+    the influence pair and exact Σs of the first; n, the seed and the
+    worker count change nothing of them, and no report bit changes.  The
+    one-shot commands stay outside the memo."""
+
+    @pytest.fixture
+    def quadratures(self, monkeypatch):
+        """The laws the exact-quadrature route runs on, in call order, from
+        a cleared memo."""
+        calls = []
+        real = asymptotics.covariance_exact_quadrature
+
+        def spy(law, h, l, *args):
+            calls.append(law)
+            return real(law, h, l, *args)
+
+        monkeypatch.setattr(asymptotics, "covariance_exact_quadrature", spy)
+        montecarlo._law_constants.cache_clear()
+        return calls
+
+    @staticmethod
+    def study(law, n=50, seed=7, workers=1, **fields):
+        return run_simulation(SimulationConfig(
+            law=law, n=n, replications=40, master_seed=seed,
+            sigma_methods=tuple(SigmaMethod), **fields), workers)
+
+    def test_studies_of_a_law_compute_quadrature_once(self, quadratures):
+        fisher = LawSpec.fisher(5.0, 12.0)
+        first = self.study(fisher, n=50, seed=3)
+        second = self.study(fisher, n=80, seed=4, workers=2)
+        assert quadratures == [fisher]
+        assert second.sigma_exact is first.sigma_exact
+        assert second.influence_a is first.influence_a
+        self.study(fisher, coefficient_mode=CoefficientMode.VERBATIM)
+        assert quadratures == [fisher, fisher]
+
+    def test_warm_bundles_equal_cold(self, tmp_path):
+        for law in ACCEPTANCE_LAWS:
+            montecarlo._law_constants.cache_clear()
+            cold = bundle_bytes(self.study(law), tmp_path / f"{law}-cold")
+            warm = bundle_bytes(self.study(law), tmp_path / f"{law}-warm")
+            assert montecarlo._law_constants.cache_info().hits == 1
+            assert warm == cold
+
+    @pytest.mark.parametrize("params", [
+        ((0.0, 1.0), (-0.0, 1.0)), ((-1.0, 0.0), (-1.0, -0.0)),
+        ((-0.0, 1.0), (0.0, 1.0)), ((-1.0, -0.0), (-1.0, 0.0)),
+    ], ids=["+0-then-0", "b+0-then-0", "-0-then+0", "b-0-then+0"])
+    def test_signed_zero_parameters_equal_their_cold_runs(self, tmp_path,
+                                                          params):
+        """``LawSpec`` equality does not tell -0.0 from 0.0, so the second
+        law of each pair reads the first one's memo entry; its influence
+        pair and exact Σs have the same bits, so its bundle is that of a
+        cold run."""
+        laws = [LawSpec.uniform(*p) for p in params]
+        assert laws[0] == laws[1]
+        cold = []
+        for k, law in enumerate(laws):
+            montecarlo._law_constants.cache_clear()
+            cold.append(bundle_bytes(self.study(law), tmp_path / f"cold{k}"))
+        assert cold[0] != cold[1]  # the sign of zero shows in the bundle
+        montecarlo._law_constants.cache_clear()
+        for k, law in enumerate(laws):
+            warm = bundle_bytes(self.study(law), tmp_path / f"warm{k}")
+            assert warm == cold[k]
+        assert montecarlo._law_constants.cache_info().hits == 1
+
+    def test_one_shot_commands_compute_sigma_every_call(self, quadratures,
+                                                        tmp_path, capsys):
+        law = LawSpec.gamma(2.0, 3.0)
+        path = tmp_path / "sample.txt"
+        path.write_text("".join(f"{v!r}\n"
+                                for v in sample(law, 300, 5).tolist()))
+        argv = ["test", "gamma", "2", "3", "--input", str(path),
+                "--sigma", "exact-quadrature"]
+        for _ in range(2):
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_REJECT)
+        assert quadratures == [law, law]
+        for _ in range(2):
+            assert cli.main(["coeffs", "gamma", "2", "3"]) == cli.EXIT_OK
+        assert quadratures == [law] * 4
+        capsys.readouterr()
 
 
 class TestEqualConfigurationsEqualBytes:

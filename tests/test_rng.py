@@ -215,6 +215,47 @@ class TestIntegerArguments:
                 == substream_seed(7, 3))
 
 
+class TestCountArguments:
+    """A draw count goes through operator.index and must be >= 0: a
+    non-integer or negative count is refused by name, never truncated or
+    left to numpy's own error."""
+
+    DRAWS = {"raw": (), "uniforms": (), "normals": (), "gammas": (2.0,),
+             "gammas-boosted": (0.5,)}
+
+    @pytest.mark.parametrize("make", [lambda: Stream(1),
+                                      lambda: RowStreams([1, 2])],
+                             ids=["stream", "row-streams"])
+    @pytest.mark.parametrize("draw", DRAWS, ids=str)
+    @pytest.mark.parametrize("count, message", [
+        (2.5, "count must be an integer, got 2.5"),
+        ("3", "count must be an integer, got '3'"),
+        (-1, "count must be >= 0, got -1"),
+        (-3, "count must be >= 0, got -3"),
+    ], ids=["float", "str", "minus-one", "minus-three"])
+    def test_refused(self, make, draw, count, message):
+        stream = make()
+        with pytest.raises(DomainError) as info:
+            getattr(stream, draw.split("-")[0])(*self.DRAWS[draw], count)
+        assert type(info.value) is DomainError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("draw", DRAWS, ids=str)
+    def test_zero_gives_an_empty_row(self, draw):
+        method = draw.split("-")[0]
+        stream = Stream(1)
+        assert getattr(stream, method)(*self.DRAWS[draw], 0).shape == (0,)
+        assert stream.consumed == 0
+        rows = getattr(RowStreams([1, 2]), method)(*self.DRAWS[draw], 0)
+        assert rows.shape == (2, 0)
+
+    def test_integer_counts_still_accepted(self):
+        want = Stream(7).gammas(2.5, 4).tobytes()
+        assert Stream(7).gammas(2.5, np.int64(4)).tobytes() == want
+        assert Stream(7).raw(np.uint8(3)).tolist() == \
+            Stream(7).raw(3).tolist()
+
+
 class TestSubstreams:
     def test_index_validation(self):
         with pytest.raises(DomainError):
