@@ -19,11 +19,12 @@ Reports are bit-identical for identical configurations regardless of the
 worker count: replication j depends only on its own substream, and the
 records of row blocks and thread ranges merge in replication order.
 
-Two things outlive a study, so that a process running many studies (a sweep
-over n and seeds) pays for them once: the influence pair and the exact-route
-Σs of a law, memoized per (law, coefficient mode, exact routes), and the
-spare row-block workspaces that replication ranges take and give back.
-Neither changes a report bit.
+Three things outlive a study, so that a process running many studies (a
+sweep over n and seeds) pays for them once: the influence pair and the
+exact-route Σs of a law, memoized per (law, coefficient mode, exact routes),
+the spare row-block workspaces that replication ranges take and give back,
+and the normal quantiles of a qq plot, memoized per value count.  None
+changes a report bit.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ __all__ = [
 #: ``rng.FIRST_ROUND_VALUES`` values.
 ROW_BLOCK_VALUES = 65536
 
-#: Kernel values per chunk of :func:`parzen_density`.
-PARZEN_CHUNK_VALUES = 8192
+#: Kernel values per chunk of :func:`parzen_density`; its two chunk buffers
+#: take 256 KB each.
+PARZEN_CHUNK_VALUES = 32768
 
 DEFAULT_SIGMA_METHODS = (
     SigmaMethod.EXACT_MOMENTS,
@@ -292,10 +294,12 @@ def _replicate(cfg: SimulationConfig, h: QuadraticInfluence,
     """The record of every replication of ``cfg``, the same whatever the
     worker count: ``workers`` > 1 splits the replications into contiguous
     ranges over up to that many threads (numpy releases the GIL), and the
-    calling thread runs the first range."""
+    calling thread runs the first range; one range makes no pool."""
     first, *others = _thread_ranges(cfg.replications, workers)
     args = (cfg.law, cfg.n, cfg.master_seed)
-    with ThreadPoolExecutor(max_workers=max(1, len(others))) as pool:
+    if not others:
+        return _merge(_simulate_block(*args, *first, h, l))
+    with ThreadPoolExecutor(max_workers=len(others)) as pool:
         futures = [pool.submit(_simulate_block, *args, lo, hi, h, l)
                    for lo, hi in others]
         parts = _simulate_block(*args, *first, h, l)
@@ -415,18 +419,32 @@ def _figure_values(values, too_few: str) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=8)
+def _normal_scores(m: int) -> np.ndarray:
+    """The normal quantiles at (i - 1/2)/m, i = 1..m, the theoretical
+    column of a qq plot of m values.  They depend on m alone, so a process
+    computes them once per m; the array is shared and read-only."""
+    scores = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+    scores.flags.writeable = False
+    return scores
+
+
 def qq_plot_data(values) -> np.ndarray:
     """Pairs (normal quantile at (i - 1/2)/n, i-th order statistic).
     Non-finite values raise :class:`DomainError`."""
     v = np.sort(_figure_values(values, "qq plot needs at least 2 values"))
-    u = (np.arange(1, v.size + 1) - 0.5) / v.size
-    return np.column_stack([normal_quantile(u), v])
+    return np.column_stack([_normal_scores(v.size), v])
 
 
 def silverman_bandwidth(values) -> float:
     """0.9 min(sd, IQR/1.34) n^(-1/5).  Non-finite values raise
     :class:`DomainError`."""
-    v = _figure_values(values, "bandwidth needs at least 2 values")
+    return _silverman(_figure_values(values,
+                                     "bandwidth needs at least 2 values"))
+
+
+def _silverman(v: np.ndarray) -> float:
+    """:func:`silverman_bandwidth` of checked values."""
     sd = float(np.std(v, ddof=1))
     q75, q25 = np.percentile(v, [75.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)
@@ -439,7 +457,8 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
 
     Returns an array of (x, density) rows.  Without an explicit bandwidth
     the Silverman rule is applied; a zero-spread sample then raises.
-    Non-finite values or grid bounds raise :class:`DomainError`.
+    Non-finite values, grid bounds or bandwidth, and a grid_points that is
+    not an integer, raise :class:`DomainError`.
     """
     v = _figure_values(values, "density estimate needs >= 2 values")
     if not (isfinite(grid_lo) and isfinite(grid_hi)):
@@ -447,24 +466,34 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
                           f"{grid_hi}")
     if not grid_lo < grid_hi:
         raise DomainError(f"need grid_lo < grid_hi, got {grid_lo}, {grid_hi}")
-    if grid_points < 2:
+    if _integer(grid_points, "grid_points") < 2:
         raise DomainError(f"need grid_points >= 2, got {grid_points}")
+    if bandwidth is not None and not (bandwidth > 0.0
+                                      and isfinite(bandwidth)):
+        raise DomainError(
+            f"bandwidth must be finite and > 0, got {bandwidth}")
+    xs = np.linspace(grid_lo, grid_hi, grid_points)
+    return np.column_stack([xs, _density(v, xs, bandwidth)])
+
+
+def _density(v: np.ndarray, xs: np.ndarray,
+             bandwidth: Optional[float] = None) -> np.ndarray:
+    """The density column of :func:`parzen_density` for checked values
+    ``v`` at the grid ``xs``; a bandwidth of None is the Silverman rule,
+    which refuses a zero-spread sample."""
     if bandwidth is None:
-        bandwidth = silverman_bandwidth(v)
+        bandwidth = _silverman(v)
         if not bandwidth > 0.0:
             raise DegenerateSampleError(
                 "sample has zero spread; pass an explicit bandwidth")
-    elif not bandwidth > 0.0:
-        raise DomainError(f"bandwidth must be > 0, got {bandwidth}")
-    xs = np.linspace(grid_lo, grid_hi, grid_points)
     # kernel rows in chunks of about PARZEN_CHUNK_VALUES values; each row is
     # summed whole, so the sums keep the bits of the full kernel matrix
     step = max(1, PARZEN_CHUNK_VALUES // v.size)
-    z = np.empty((min(step, grid_points), v.size))
+    z = np.empty((min(step, xs.size), v.size))
     kernel = np.empty_like(z)
-    sums = np.empty(grid_points)
-    for lo in range(0, grid_points, step):
-        hi = min(lo + step, grid_points)
+    sums = np.empty(xs.size)
+    for lo in range(0, xs.size, step):
+        hi = min(lo + step, xs.size)
         zc, kc = z[:hi - lo], kernel[:hi - lo]
         np.subtract(xs[lo:hi, None], v, out=zc)
         zc /= bandwidth
@@ -472,5 +501,4 @@ def parzen_density(values, grid_lo: float, grid_hi: float, grid_points: int,
         kc *= zc
         np.exp(kc, out=kc)
         kc.sum(axis=1, out=sums[lo:hi])
-    dens = sums / (v.size * bandwidth * np.sqrt(2.0 * np.pi))
-    return np.column_stack([xs, dens])
+    return sums / (v.size * bandwidth * np.sqrt(2.0 * np.pi))

@@ -15,6 +15,8 @@ runs are byte-identical:
   covariance estimates and all tables (schema_version "1")
 
 Floats are rendered with ``repr``, the shortest round-trip decimal form.
+The columns that depend on no draw, the qq quantiles for each feasible count
+and the Parzen grid, are rendered once per process and reused.
 
 A file that already exists is rewritten in place: it is opened without
 truncation, overwritten and then cut to its new length, which on ext4 costs
@@ -29,14 +31,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .asymptotics import Covariance2
-from .montecarlo import SimulationReport, parzen_density, qq_plot_data
+from .montecarlo import (SimulationReport, _density, _figure_values,
+                         _normal_scores)
 
 __all__ = ["write_report", "report_to_dict"]
 
@@ -58,21 +61,43 @@ def _cells(column: np.ndarray) -> list[str]:
     return list(map(repr, column.tolist()))
 
 
+@lru_cache(maxsize=8)
+def _score_cells(m: int) -> tuple[str, ...]:
+    """The rendered quantile column of a qq file of m values."""
+    return tuple(_cells(_normal_scores(m)))
+
+
+#: The x column of both Parzen files: 201 points on [-4, 4].
+_GRID = np.linspace(-4.0, 4.0, 201)
+
+
+@lru_cache(maxsize=1)
+def _grid_cells() -> tuple[str, ...]:
+    return tuple(_cells(_GRID))
+
+
 def _csv(header: str, rows) -> str:
     """CSV text of a header line and rows of rendered cells."""
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def _without_truncation(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+#: Flags that open a bundle file for rewriting in place: without O_TRUNC
+#: (see the module docstring), and binary where the platform has text mode.
+_REWRITE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _write(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 over ``path`` in place and cut the file to
     the length written."""
-    with open(path, "wb", opener=_without_truncation) as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
+    data = text.encode("utf-8")
+    fd = os.open(path, _REWRITE, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _sigma_dict(sigma: Optional[Covariance2]) -> Optional[dict]:
@@ -98,8 +123,8 @@ def report_to_dict(report: SimulationReport) -> dict:
             "sigma_methods": [m.value for m in cfg.sigma_methods],
         },
         "influence": {
-            "a": asdict(report.influence_a),
-            "b": asdict(report.influence_b),
+            "a": vars(report.influence_a).copy(),
+            "b": vars(report.influence_b).copy(),
         },
         "feasible": report.feasible,
         "infeasible": report.infeasible_count,
@@ -148,19 +173,16 @@ def write_report(report: SimulationReport, outdir) -> list[Path]:
         "sigma,rate", [[key, "" if rate is None else _num(rate)]
                        for key, rate in report.omnibus_rates.items()])
     # both deviation arrays hold one value per feasible replication, so the
-    # qq files share their quantile column and the parzen files their grid
-    quantiles = grid = None
+    # qq files share their quantile column and the parzen files their grid;
+    # the caches render each once per process
     for param, dev in (("a", report.dev_a), ("b", report.dev_b)):
         sd = float(np.std(dev, ddof=1))
-        std = dev / sd if sd > 0.0 else dev
-        qq = qq_plot_data(std)
-        density = parzen_density(std, -4.0, 4.0, 201)
-        if quantiles is None:
-            quantiles, grid = _cells(qq[:, 0]), _cells(density[:, 0])
-        files[f"qq_{param}.csv"] = _csv("theoretical,empirical",
-                                        zip(quantiles, _cells(qq[:, 1])))
-        files[f"parzen_{param}.csv"] = _csv("x,density",
-                                            zip(grid, _cells(density[:, 1])))
+        std = _figure_values(dev / sd if sd > 0.0 else dev,
+                             "qq plot needs at least 2 values")
+        files[f"qq_{param}.csv"] = _csv("theoretical,empirical", zip(
+            _score_cells(std.size), _cells(np.sort(std))))
+        files[f"parzen_{param}.csv"] = _csv("x,density", zip(
+            _grid_cells(), _cells(_density(std, _GRID))))
     files["report.json"] = render_json(report_to_dict(report))
 
     if report.ratios is None:

@@ -1,7 +1,9 @@
 """Special functions and one-dimensional trapezoid quadrature.
 
 The cumulative/inverse functions wrap scipy.special behind a small validated
-API; every one of them is cross-checked in the test suite against brute-force
+API; scipy is imported on the first call that needs it (:func:`_sp`), so a
+process that calls none of them, such as ``momest estimate``, never loads
+it.  Every one of them is cross-checked in the test suite against brute-force
 quadrature of the defining integrals.  They accept scalars or numpy arrays
 and return matching shapes.  The trapezoid integrator is implemented here
 directly because the whole exact-coefficient pipeline is specified in terms
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, QuadratureError
 
@@ -40,6 +41,12 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
+def _sp():
+    """``scipy.special``, imported on first use."""
+    from scipy import special
+    return special
+
+
 def _prepare(x: ArrayLike) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
@@ -54,7 +61,7 @@ def ln_gamma(x: ArrayLike) -> ArrayLike:
     xs, scalar = _prepare(x)
     if not np.all(xs > 0.0):
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return _finish(_sp.gammaln(xs), scalar)
+    return _finish(_sp().gammaln(xs), scalar)
 
 
 def reg_inc_gamma(a: float, x: ArrayLike) -> ArrayLike:
@@ -64,7 +71,7 @@ def reg_inc_gamma(a: float, x: ArrayLike) -> ArrayLike:
     xs, scalar = _prepare(x)
     if not np.all(xs >= 0.0):
         raise DomainError(f"reg_inc_gamma requires x >= 0, got x={x}")
-    return _finish(_sp.gammainc(a, xs), scalar)
+    return _finish(_sp().gammainc(a, xs), scalar)
 
 
 def reg_inc_gamma_inv(a: float, p: ArrayLike) -> ArrayLike:
@@ -74,7 +81,7 @@ def reg_inc_gamma_inv(a: float, p: ArrayLike) -> ArrayLike:
     ps, scalar = _prepare(p)
     if not np.all((ps >= 0.0) & (ps < 1.0)):
         raise DomainError(f"reg_inc_gamma_inv requires p in [0, 1), got {p}")
-    return _finish(_sp.gammaincinv(a, ps), scalar)
+    return _finish(_sp().gammaincinv(a, ps), scalar)
 
 
 def reg_inc_beta(a: float, b: float, x: ArrayLike) -> ArrayLike:
@@ -84,7 +91,7 @@ def reg_inc_beta(a: float, b: float, x: ArrayLike) -> ArrayLike:
     xs, scalar = _prepare(x)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got x={x}")
-    return _finish(_sp.betainc(a, b, xs), scalar)
+    return _finish(_sp().betainc(a, b, xs), scalar)
 
 
 def reg_inc_beta_inv(a: float, b: float, p: ArrayLike) -> ArrayLike:
@@ -95,19 +102,19 @@ def reg_inc_beta_inv(a: float, b: float, p: ArrayLike) -> ArrayLike:
     ps, scalar = _prepare(p)
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise DomainError(f"reg_inc_beta_inv requires p in [0, 1], got {p}")
-    return _finish(_sp.betaincinv(a, b, ps), scalar)
+    return _finish(_sp().betaincinv(a, b, ps), scalar)
 
 
 def normal_cdf(z: ArrayLike) -> ArrayLike:
     """Standard normal cumulative distribution function."""
     zs, scalar = _prepare(z)
-    return _finish(_sp.ndtr(zs), scalar)
+    return _finish(_sp().ndtr(zs), scalar)
 
 
 def normal_sf(z: ArrayLike) -> ArrayLike:
     """Standard normal survival 1 - Phi(z), computed without cancellation."""
     zs, scalar = _prepare(z)
-    return _finish(_sp.ndtr(-zs), scalar)
+    return _finish(_sp().ndtr(-zs), scalar)
 
 
 def normal_quantile(u: ArrayLike) -> ArrayLike:
@@ -115,7 +122,7 @@ def normal_quantile(u: ArrayLike) -> ArrayLike:
     us, scalar = _prepare(u)
     if not np.all((us > 0.0) & (us < 1.0)):
         raise DomainError(f"normal_quantile requires u in (0, 1), got {u}")
-    return _finish(_sp.ndtri(us), scalar)
+    return _finish(_sp().ndtri(us), scalar)
 
 
 def chisq_cdf(x: ArrayLike, df: int) -> ArrayLike:
@@ -126,7 +133,7 @@ def chisq_cdf(x: ArrayLike, df: int) -> ArrayLike:
         raise DomainError(f"chisq_cdf requires x >= 0, got {x}")
     if df == 2:
         return _finish(-np.expm1(-0.5 * xs), scalar)
-    return _finish(_sp.gammainc(0.5 * df, 0.5 * xs), scalar)
+    return _finish(_sp().gammainc(0.5 * df, 0.5 * xs), scalar)
 
 
 def chisq_sf(x: ArrayLike, df: int) -> ArrayLike:
@@ -137,7 +144,7 @@ def chisq_sf(x: ArrayLike, df: int) -> ArrayLike:
         raise DomainError(f"chisq_sf requires x >= 0, got {x}")
     if df == 2:
         return _finish(np.exp(-0.5 * xs), scalar)
-    return _finish(_sp.gammaincc(0.5 * df, 0.5 * xs), scalar)
+    return _finish(_sp().gammaincc(0.5 * df, 0.5 * xs), scalar)
 
 
 def chisq_quantile(u: ArrayLike, df: int) -> ArrayLike:
@@ -148,7 +155,7 @@ def chisq_quantile(u: ArrayLike, df: int) -> ArrayLike:
         raise DomainError(f"chisq_quantile requires u in [0, 1), got {u}")
     if df == 2:
         return _finish(-2.0 * np.log1p(-us), scalar)
-    return _finish(2.0 * _sp.gammaincinv(0.5 * df, us), scalar)
+    return _finish(2.0 * _sp().gammaincinv(0.5 * df, us), scalar)
 
 
 def _check_df(df: int) -> None:

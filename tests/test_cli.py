@@ -1170,3 +1170,18 @@ class TestEntryPoint:
             assert proc.stdout == ""
             assert proc.stderr.endswith(
                 "the following arguments are required: command\n")
+
+    def test_estimate_never_imports_scipy(self, tmp_path):
+        """``estimate`` calls no special function, so a process that runs
+        it through ``cli.main`` never imports scipy."""
+        data = tmp_path / "x.txt"
+        data.write_text("1.5\n2.5\n3.1\n0.7\n")
+        argv = ["estimate", "gamma", "--input", str(data)]
+        script = ("import sys; from momest.cli import main; "
+                  f"code = main({argv!r}); "
+                  "print(code, sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"

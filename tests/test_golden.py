@@ -11,13 +11,14 @@ one only for a deliberate change of output, and say so in CHANGES.md.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from momest import (DEFAULT_QUAD_CONFIG, CoefficientMode, LawSpec,
                     QuadratureConfig, SigmaMethod, SimulationConfig,
                     covariance_exact_quadrature, influence_pair, pdf,
-                    quantile, run_simulation, sample, trapezoid_integrate,
-                    write_report)
+                    qq_plot_data, quantile, run_simulation, sample,
+                    trapezoid_integrate, write_report)
 from momest.cli import EXIT_OK, main
 
 
@@ -120,6 +121,24 @@ def test_simulate_bundle_fisher_verbatim(tmp_path):
                            coefficient_mode=CoefficientMode.VERBATIM,
                            sigma_methods=tuple(SigmaMethod))
     assert bundle_digests(cfg, tmp_path) == FISHER_BUNDLE_DIGESTS
+
+
+def test_bundles_after_other_sizes_keep_their_bytes(tmp_path):
+    """The qq quantile column and the Parzen grid are rendered once per
+    process for each feasible count: the Beta bundle (40 feasible), the
+    Fisher bundle (895 feasible) and the Beta bundle again each keep their
+    digests, also after an array ``qq_plot_data`` returned was written."""
+    beta = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=60,
+                            replications=40, master_seed=31,
+                            sigma_methods=tuple(SigmaMethod))
+    fisher = SimulationConfig(law=LawSpec.fisher(5.0, 12.0), n=10,
+                              replications=2000, master_seed=7,
+                              coefficient_mode=CoefficientMode.VERBATIM,
+                              sigma_methods=tuple(SigmaMethod))
+    assert bundle_digests(beta, tmp_path / "1") == BUNDLE_DIGESTS
+    qq_plot_data(np.arange(40.0))[:, 0] = 0.0
+    assert bundle_digests(fisher, tmp_path / "2") == FISHER_BUNDLE_DIGESTS
+    assert bundle_digests(beta, tmp_path / "3") == BUNDLE_DIGESTS
 
 
 LAW_ARGS = {"gamma": ("2", "3"), "beta": ("2", "3"), "uniform": ("0", "1"),

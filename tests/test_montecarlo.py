@@ -2,6 +2,7 @@
 worker counts, exclusion accounting, tables and figure data."""
 
 import math
+import re
 import multiprocessing
 import sys
 import threading
@@ -451,6 +452,16 @@ class TestQQPlot:
         with pytest.raises(InsufficientDataError):
             qq_plot_data([0.0])
 
+    def test_returned_array_is_the_callers_own(self):
+        """The quantile column is computed once per size and shared; an
+        array a call returned can be written without moving the next
+        call's bits."""
+        values = [0.3, -1.2, 2.0, 0.7]
+        first = qq_plot_data(values)
+        want = first.tobytes()
+        first[:] = 9.0
+        assert qq_plot_data(values).tobytes() == want
+
     def test_refuses_non_finite(self):
         """The index is that of the value given, not of the sorted one."""
         with pytest.raises(DomainError, match=r"^sample has 2 non-finite "
@@ -512,6 +523,27 @@ class TestParzen:
         with pytest.raises(DomainError):
             parzen_density([0.0, 1.0], 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bandwidth", [math.inf, -math.inf, math.nan,
+                                           0.0, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        """An infinite bandwidth used to give an all-zero curve."""
+        with pytest.raises(DomainError, match=re.escape(
+                f"bandwidth must be finite and > 0, got {bandwidth}")):
+            parzen_density([1.0, 2.0, 3.0], 0.0, 4.0, 5, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("points", [201.0, "201", None])
+    def test_grid_points_must_be_an_integer(self, points):
+        """Not numpy's bare ``TypeError`` or a ``str < int`` comparison."""
+        with pytest.raises(DomainError, match=re.escape(
+                f"grid_points must be an integer, got {points!r}")):
+            parzen_density([1.0, 2.0, 3.0], 0.0, 4.0, points)
+
+    def test_integer_grid_points_keep_their_bits(self):
+        values = [0.5, 1.0, 2.5, 3.0]
+        want = parzen_density(values, 0.0, 4.0, 11)
+        assert parzen_density(values, 0.0, 4.0,
+                              np.int64(11)).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
                                         (math.nan, 1.0)])
     def test_grid_bounds_must_be_finite(self, lo, hi):
@@ -519,10 +551,12 @@ class TestParzen:
         with pytest.raises(DomainError, match="^need finite grid bounds"):
             parzen_density([1.0, 2.0, 3.0], lo, hi, 5)
 
-    @pytest.mark.parametrize("size", [2, 37, 400, 2000, 8193])
+    @pytest.mark.parametrize("size", [
+        2, 37, 400, 2000, montecarlo.PARZEN_CHUNK_VALUES // 2 + 1])
     def test_chunks_equal_one_shot_kernel_matrix(self, size):
         """One chunk (B = 2, 37), many chunks (400, 2000) and one row per
-        chunk (8193) give the bits of the whole 201 x B kernel matrix."""
+        chunk (just over half a chunk of values) give the bits of the whole
+        201 x B kernel matrix."""
         from momest import Stream
         values = Stream(size).normals(size)
         bw = montecarlo.silverman_bandwidth(values)
