@@ -8,9 +8,10 @@ Subcommands::
     momest simulate KIND A B --n N --replications B --seed S [--out DIR] ...
 
 One table, :data:`COMMANDS`, gives each command's help, arguments and
-handler.  A call registers every command but builds the arguments of its
-own command only, the one its first argument names; usage, help and errors
-read as with every command built.
+handler.  A call whose first argument names a command is parsed by that
+command's parser alone; any other call, and one that leaves arguments
+over, by the parser of every command, so usage, help and errors read as
+with every command built.
 
 Exit codes (so pipelines can branch without parsing text):
 
@@ -151,21 +152,35 @@ def _simulate_arguments(p):
                    help="thread count; affects wall clock only, never bytes")
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command in :data:`COMMANDS`.  Every name is
-    registered, so usage, ``-h`` and choice errors name them all; only
-    ``command`` gets its arguments, or every command when ``command`` is
-    None or names none of them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in :data:`COMMANDS`: the full tree,
+    whose usage, ``-h`` and choice errors name them all."""
     parser = argparse.ArgumentParser(
         prog="momest",
         description="Moment estimation, asymptotic covariances, marginal and "
                     "omnibus tests, and Monte-Carlo calibration runs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, entry in COMMANDS.items():
-        p = sub.add_parser(name, help=entry.help)
-        if command == name or command not in COMMANDS:
-            entry.arguments(p)
+        entry.arguments(sub.add_parser(name, prog=f"momest {name}",
+                                       help=entry.help))
     return parser
+
+
+def _parse_alone(argv: list[str]) -> Optional[argparse.Namespace]:
+    """``argv`` parsed by the parser of the command ``argv[0]`` names,
+    built alone.  The full tree hands that parser ``argv[1:]`` as they
+    stand, so help, errors and the namespace are the tree's.  None where
+    the tree must parse ``argv``: it names no command, or arguments are
+    left over, which the tree's root reports."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    parser = argparse.ArgumentParser(prog=f"momest {argv[0]}")
+    COMMANDS[argv[0]].arguments(parser)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        return None
+    args.command = argv[0]
+    return args
 
 
 def read_sample(path: str, column: Optional[str]) -> np.ndarray:
@@ -502,11 +517,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     """Runs the command that ``argv`` (default ``sys.argv[1:]``) names and
-    returns its exit code.  The parser built for the call gives arguments
-    only to the command named by ``argv[0]``; usage, help and every error
-    read as with every command built."""
+    returns its exit code.  A call is parsed by its own command's parser
+    alone where it can be (:func:`_parse_alone`), else by the full tree;
+    usage, help, every error and the namespace are the full tree's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_alone(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command].run(args)
     except MomestError as exc:

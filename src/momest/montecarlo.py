@@ -308,9 +308,18 @@ def _replicate(cfg: SimulationConfig, h: QuadraticInfluence,
     return _merge(parts)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count (1 if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_ranges(b_total: int, workers: int) -> list[tuple[int, int]]:
-    """Near-equal contiguous ranges of 1-based replications, one per thread."""
-    threads = min(workers, b_total, os.cpu_count() or 1)
+    """Near-equal contiguous ranges of 1-based replications, one per thread,
+    at most one per usable CPU."""
+    threads = min(workers, b_total, _usable_cpus())
     cuts = [1 + b_total * k // threads for k in range(threads + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 

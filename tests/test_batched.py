@@ -221,7 +221,7 @@ class TestWorkspace:
             most, before = max(most, feasible), arrays
 
     def test_each_thread_has_its_own_workspace(self, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         seen = []
 
         def spy(law, n, row_seeds, workspace):
@@ -267,7 +267,7 @@ class TestWorkspace:
         with montecarlo._workspace(2) as again:
             assert again is first
 
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         seen = []
 
         def spy(law, n, row_seeds, workspace):
@@ -401,7 +401,7 @@ class TestBlocks:
         short block; B = 2 with 3 workers has more workers than
         replications.  Enough CPUs are reported that every worker count
         gets its own threads."""
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
         for n, b_total in itertools.product((3, 200, 9000), (2, 37, 400)):
             cfg = SimulationConfig(law=LawSpec.beta(2.0, 3.0), n=n,
                                    replications=b_total, master_seed=2024,
@@ -423,7 +423,7 @@ class TestThreadRanges:
     @pytest.mark.parametrize("workers", (1, 2, 3, 7, 1000))
     def test_contiguous_near_equal_capped(self, b_total, workers,
                                           monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         ranges = _thread_ranges(b_total, workers)
         assert len(ranges) == min(workers, b_total, 4)
         assert ranges[0][0] == 1 and ranges[-1][1] == b_total + 1
@@ -432,8 +432,18 @@ class TestThreadRanges:
         assert max(sizes) - min(sizes) <= 1
 
     def test_unknown_cpu_count_gives_one_range(self, monkeypatch):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity",
+                            raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
         assert _thread_ranges(400, 1000) == [(1, 401)]
+
+    def test_cap_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        """Pinned to one CPU of a four-CPU machine, a study runs on one
+        thread whatever its worker count."""
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert _thread_ranges(400, 2) == [(1, 401)]
 
 
 def laws_strategy():

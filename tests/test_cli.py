@@ -1059,20 +1059,28 @@ class TestParser:
         ["estimate", "cauchy", "--input", "s.txt"],
         ["simulate", "gamma", "2", "3", "--n", "ten", "-B", "2", "--seed",
          "1"],
+        ["test", "gamma", "2", "3", "--input", "s.txt", "coeffs"],
+        ["test"],
+        ["tes", "gamma"],
+        ["estimate", "gamma", "--input", "s.txt", "--column"],
     ], ids=["help", "coeffs-help", "estimate-help", "test-help",
             "simulate-help", "no-arguments", "unknown-command",
             "unrecognised-option", "missing-positional", "bad-sigma",
-            "bad-mode", "bad-kind", "non-integer-n"])
+            "bad-mode", "bad-kind", "non-integer-n", "left-over-positional",
+            "command-alone", "near-miss-command", "option-without-value"])
     def test_texts_match_a_full_parser(self, capsys, argv):
         got = run_parse(capsys, main, argv)
         assert got == run_parse(capsys, parse_all, argv)
         code, out, err = got
         assert code == (0 if "-h" in argv else 2)
         assert (out if code == 0 else err) != ""
-        if "--bogus" in argv:
+        if argv and argv[-1] in ("--bogus", "coeffs"):
+            # what the command's parser leaves over, the root reports
             assert err.startswith(
                 "usage: momest [-h] {coeffs,estimate,test,simulate} ...\n")
-            assert err.endswith("unrecognized arguments: --bogus\n")
+            assert err.endswith(f"unrecognized arguments: {argv[-1]}\n")
+        elif argv and argv[0] in COMMANDS and code == 2:
+            assert err.startswith(f"usage: momest {argv[0]} [-h] ")
 
     @pytest.mark.parametrize("argv", [
         ["coeffs", "fisher", "5", "12", "--mode", "paper", "--format",
@@ -1084,7 +1092,10 @@ class TestParser:
         ["simulate", "gamma", "2", "3", "--n", "20", "-B", "5", "--seed",
          "7", "--sigma-methods", "plugin", "replication", "--out", "d",
          "--workers", "2"],
-    ], ids=lambda argv: argv[0])
+        ["coeffs", "--", "gamma", "2", "3"],
+        ["coeffs", "gamma", "2", "3", "--form", "json"],
+    ], ids=["coeffs", "estimate", "test", "simulate", "separator",
+            "abbreviated-option"])
     def test_namespace_matches_a_full_parser(self, monkeypatch, argv):
         seen = []
         entry = COMMANDS[argv[0]]
@@ -1095,19 +1106,26 @@ class TestParser:
 
     def test_a_call_builds_only_its_own_command(self, capsys, tmp_path,
                                                 monkeypatch):
-        built = []
+        built, made = [], []
         add_argument = argparse.ArgumentParser.add_argument
+        init = argparse.ArgumentParser.__init__
 
         def record(parser, *names, **kwargs):
             if kwargs.get("action") != "help":
                 built.append(parser.prog)
             return add_argument(parser, *names, **kwargs)
 
+        def construct(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", construct)
         path = write_sample(tmp_path, [1.0, 2.0, 4.0])
         code, _, _ = run_cli(capsys, "test", "gamma", "2", "3", "--input",
                              path)
         assert code in (EXIT_OK, EXIT_REJECT)
+        assert made == ["momest test"]
         assert built == ["momest test"] * 8
         built.clear()
         build_parser()

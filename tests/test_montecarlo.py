@@ -134,7 +134,7 @@ class TestDeterminism:
         assert str(info.value) == "workers must be an integer, got 1.5"
 
     def test_threads_leave_nothing_running(self, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         cfg = SimulationConfig(law=GAMMA23, n=50, replications=60,
                                master_seed=97)
         before = threading.active_count()
@@ -145,7 +145,7 @@ class TestDeterminism:
     def test_concurrent_callers_equal_serial(self, tmp_path, monkeypatch):
         """Two studies run at once from two threads, each on its own pool,
         with frequent thread switches: nothing global may be shared."""
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         cfgs = [SimulationConfig(law=GAMMA23, n=200, replications=300,
                                  master_seed=11),
                 SimulationConfig(law=LawSpec.fisher(5.0, 12.0), n=60,

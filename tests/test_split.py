@@ -35,3 +35,25 @@ def test_prints_each_phase_within_its_parent():
         parents[depth] = float(ms)
         if depth:
             assert parents[depth] <= parents[depth - 1]
+
+
+def test_cli_prints_each_phase_within_the_call():
+    proc = subprocess.run([sys.executable, str(TOOL), "--cli", "--rounds",
+                           "1"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    routes = ("exact-moments", "exact-quadrature", "plugin")
+    assert len(lines) == 8 * len(routes)
+    for k, route in enumerate(routes):
+        header, *block = lines[8 * k:8 * (k + 1)]
+        assert header == (f"test gamma 2 3, 100 lines, sigma={route}: "
+                          f"process CPU per call, median of 1 calls")
+        rows = [LINE.match(line).groups() for line in block]
+        assert [(len(indent) // 2, phase) for indent, phase, _, _ in rows] == [
+            (0, "call"), (1, "parse"), (1, "read_sample"), (1, "estimation"),
+            (1, "sigma"), (1, "tests"), (1, "json output")]
+        call, *phases = [float(ms) for _, _, ms, _ in rows]
+        assert rows[0][3] == "100.0" and call > 0.0
+        # one call: its phases ran one after another inside it
+        assert all(ms > 0.0 for ms in phases)
+        assert sum(phases) <= call
