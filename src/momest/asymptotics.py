@@ -342,19 +342,22 @@ def plugin_rows(x, h: QuadraticInfluence, l: QuadraticInfluence,
     of length n, far inside :meth:`Covariance2.build`'s tolerance.
 
     Bit for bit ``np.cov`` of each row's influence values: the centred
-    stack of H and L values is multiplied by its transpose, which runs the
-    same BLAS product as ``np.cov``, and scaled by 1/(n-1).  The stack and
-    its scratch rows come from ``workspace`` (a new one if none is given).
+    (H, L) pair of each row is multiplied by its transpose, which runs the
+    same BLAS product as ``np.cov``, and scaled by 1/(n-1).  The H and L
+    values are written as two contiguous (rows, n) planes, and the product
+    reads them as one (rows, 2, n) stack.  The planes and their scratch
+    rows come from ``workspace`` (a new one if none is given).
     """
     x = np.asarray(x, dtype=float)
     rows, n = x.shape
     ws = Workspace() if workspace is None else workspace
-    stack = ws.take("plugin_stack", (rows, 2, n))
+    planes = ws.take("plugin_stack", (2, rows, n))
     scratch = ws.take("plugin_scratch", (rows, n))
-    for k, infl in enumerate((h, l)):
-        infl._raw_into(x, stack[:, k], scratch)
-        stack[:, k] -= infl.center
-    stack -= np.add.reduce(stack, axis=2, keepdims=True) / n
+    for plane, infl in zip(planes, (h, l)):
+        infl._raw_into(x, plane, scratch)
+        plane -= infl.center
+    planes -= np.add.reduce(planes, axis=2, keepdims=True) / n
+    stack = planes.transpose(1, 0, 2)
     c = np.matmul(stack, stack.transpose(0, 2, 1))
     c *= 1.0 / (n - 1)
     return c[:, 0, 0], c[:, 1, 1], c[:, 0, 1]

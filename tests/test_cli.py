@@ -1189,12 +1189,10 @@ class TestEntryPoint:
             assert proc.stderr.endswith(
                 "the following arguments are required: command\n")
 
-    def test_estimate_never_imports_scipy(self, tmp_path):
-        """``estimate`` calls no special function, so a process that runs
-        it through ``cli.main`` never imports scipy."""
-        data = tmp_path / "x.txt"
-        data.write_text("1.5\n2.5\n3.1\n0.7\n")
-        argv = ["estimate", "gamma", "--input", str(data)]
+    @staticmethod
+    def exit_and_scipy_modules(argv):
+        """The exit code of ``cli.main(argv)`` in a fresh interpreter, and
+        the scipy modules loaded there when it returns, as one line."""
         script = ("import sys; from momest.cli import main; "
                   f"code = main({argv!r}); "
                   "print(code, sorted(m for m in sys.modules "
@@ -1202,4 +1200,36 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+        return proc.stdout.splitlines()[-1]
+
+    def test_estimate_never_imports_scipy(self, tmp_path):
+        """``estimate`` calls no special function, so a process that runs
+        it through ``cli.main`` never imports scipy."""
+        data = tmp_path / "x.txt"
+        data.write_text("1.5\n2.5\n3.1\n0.7\n")
+        argv = ["estimate", "gamma", "--input", str(data)]
+        assert self.exit_and_scipy_modules(argv) == f"{EXIT_OK} []"
+
+    @pytest.mark.parametrize("sigma", ["exact-moments", "plugin"])
+    def test_test_never_imports_scipy(self, tmp_path, sigma):
+        """The marginal p-values come from the Cephes ``ndtr`` port and
+        the omnibus p-value is a closed form, so ``test`` with a Σ that
+        needs no quadrature never imports scipy."""
+        path = write_sample(tmp_path, sample(LawSpec.gamma(2.0, 3.0), 200, 1))
+        argv = ["test", "gamma", "2", "3", "--input", path, "--sigma", sigma]
+        assert self.exit_and_scipy_modules(argv) == f"{EXIT_OK} []"
+
+    def test_test_with_exact_quadrature_still_runs(self, tmp_path):
+        """The quadrature Σ imports scipy for its quantiles on demand."""
+        path = write_sample(tmp_path, sample(LawSpec.gamma(2.0, 3.0), 200, 1))
+        argv = ["test", "gamma", "2", "3", "--input", path, "--sigma",
+                "exact-quadrature"]
+        assert self.exit_and_scipy_modules(argv).startswith(f"{EXIT_OK} [")
+
+    def test_simulate_with_the_default_sigma_never_imports_scipy(
+            self, tmp_path):
+        """A study counts marginal rejections against ``Z_CRIT`` and its
+        qq quantiles come from the Cephes ``ndtri`` port."""
+        argv = ["simulate", "gamma", "2", "3", "--n", "50", "-B", "20",
+                "--seed", "1", "--out", str(tmp_path / "out")]
+        assert self.exit_and_scipy_modules(argv) == f"{EXIT_OK} []"

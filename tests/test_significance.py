@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from momest import (Covariance2, DomainError, LawSpec, SigmaMethod,
                     SimulationConfig, SingularCovarianceError, marginal_test,
                     normal_quantile, omnibus_test, run_simulation)
+from momest.significance import ALPHA, Z_CRIT
 
 IDENTITY = Covariance2.build(1.0, 1.0, 0.0, SigmaMethod.EXACT_MOMENTS)
 
@@ -80,6 +81,41 @@ class TestMarginal:
         report = run_simulation(cfg)
         rate = report.marginal_rates["a:exact-moments"]
         assert 0.035 <= rate <= 0.065
+
+
+class TestCriticalZ:
+    """The harness counts a marginal rejection as |z| >= Z_CRIT; that must
+    be the decision of the p-value that ``momest test`` prints."""
+
+    @pytest.fixture(scope="class")
+    def ndtr(self):
+        return pytest.importorskip("scipy.special").ndtr
+
+    @staticmethod
+    def assert_same_decisions(z, ndtr):
+        by_p = 2.0 * ndtr(-np.abs(z)) < ALPHA
+        assert np.array_equal(np.abs(z) >= Z_CRIT, by_p)
+
+    def test_least_double_below_5pct(self, ndtr):
+        below = np.nextafter(Z_CRIT, 0.0)
+        assert 2.0 * ndtr(-Z_CRIT) < ALPHA
+        assert 2.0 * ndtr(-below) == ALPHA
+        assert marginal_test(Z_CRIT / 2.0, 0.0, 1.0, 4).reject_at_5pct
+        rep = marginal_test(below / 2.0, 0.0, 1.0, 4)
+        assert rep.p_value == ALPHA and not rep.reject_at_5pct
+
+    def test_same_decisions_near_the_edge(self, ndtr):
+        steps = np.arange(-2 ** 19, 2 ** 19 + 1)
+        z = (np.float64(Z_CRIT).view(np.int64) + steps).view(np.float64)
+        self.assert_same_decisions(np.concatenate([z, -z]), ndtr)
+
+    def test_same_decisions_on_random_z(self, ndtr):
+        rng = np.random.default_rng(31)
+        z = np.concatenate([
+            rng.standard_normal(1_000_000) * 3.0,
+            rng.uniform(-40.0, 40.0, 500_000),
+            [math.inf, -math.inf, math.nan, 0.0, -0.0]])
+        self.assert_same_decisions(z, ndtr)
 
 
 class TestOmnibus:

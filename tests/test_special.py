@@ -133,6 +133,72 @@ class TestNormal:
                 normal_quantile(u)
 
 
+def around(centres, ulps: int) -> np.ndarray:
+    """Every double within ``ulps`` steps of each positive centre."""
+    steps = np.arange(-ulps, ulps + 1)
+    return np.concatenate([
+        (np.float64(c).view(np.int64) + steps).view(np.float64)
+        for c in centres])
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not differ.any(), (
+        f"{int(differ.sum())} values differ, first at index "
+        f"{int(np.argmax(differ))}")
+
+
+class TestCephesPorts:
+    """The normal functions port Cephes ``ndtr`` and ``ndtri``, the code
+    behind scipy.special's, and keep its bits: on a million points each,
+    including every branch edge of the C code."""
+
+    @pytest.fixture(scope="class")
+    def scipy_special(self):
+        return pytest.importorskip("scipy.special")
+
+    def test_cdf_and_sf_match_scipy_ndtr(self, scipy_special):
+        rng = np.random.default_rng(31)
+        # the edges: ndtr's erf branch ends at |z| = 1, erfc's inner fit at
+        # |z| sqrt(1/2) = 1 and its outer at 8; past MAXLOG erfc underflows
+        edges = around([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                        math.sqrt(2.0 * special._MAXLOG)], 2 ** 13)
+        z = np.concatenate([
+            rng.uniform(-40.0, 40.0, 470_000), rng.uniform(-3.0, 3.0, 200_000),
+            rng.uniform(-40.0, -5.0, 200_000), edges, -edges,
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308,
+             -1e308]])
+        assert z.size >= 10 ** 6
+        assert_same_bits(normal_cdf(z), scipy_special.ndtr(z))
+        assert_same_bits(special.normal_sf(z), scipy_special.ndtr(-z))
+
+    def test_quantile_matches_scipy_ndtri(self, scipy_special):
+        rng = np.random.default_rng(31)
+        # the edges: the central fit ends at exp(-2) and 1 - exp(-2), the
+        # tail fits meet at exp(-32)
+        edges = around([special._EXP_M2, 1.0 - special._EXP_M2,
+                        math.exp(-32.0), 1e-300, 0.5], 2 ** 13)
+        grids = [(np.arange(1, m + 1) - 0.5) / m
+                 for m in (100, 400, 2000, 5000, 12345)]
+        u = np.concatenate([
+            rng.uniform(0.0, 1.0, 500_000),
+            np.exp(-rng.uniform(0.0, 690.0, 200_000)),
+            -np.expm1(-rng.uniform(0.0, 36.0, 200_000)), edges,
+            [5e-324, np.nextafter(1.0, 0.0)], *grids])
+        u = u[(u > 0.0) & (u < 1.0)]
+        assert u.size >= 10 ** 6 and u.min() < 1e-300
+        assert_same_bits(normal_quantile(u), scipy_special.ndtri(u))
+
+    def test_scalars_and_shapes(self):
+        assert isinstance(normal_cdf(1.5), float)
+        assert isinstance(normal_quantile(0.3), float)
+        grid = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        assert normal_cdf(grid).shape == (3, 4)
+        assert_same_bits(normal_cdf(grid).ravel(), normal_cdf(grid.ravel()))
+        assert normal_cdf(np.empty(0)).shape == (0,)
+
+
 class TestChiSquare:
     def test_trivial(self):
         assert chisq_cdf(0.0, 2) == 0.0

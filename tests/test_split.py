@@ -57,3 +57,24 @@ def test_cli_prints_each_phase_within_the_call():
         # one call: its phases ran one after another inside it
         assert all(ms > 0.0 for ms in phases)
         assert sum(phases) <= call
+
+
+PROC_LINE = re.compile(r"^(\S.*?) +(\d+\.\d) ms +(\d+\.\d) MB  (yes|no)$")
+
+
+def test_proc_prints_each_fresh_process_call():
+    proc = subprocess.run([sys.executable, str(TOOL), "--proc", "--rounds",
+                           "1"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    title, header, *lines = proc.stdout.splitlines()
+    assert title == ("fresh-process momest calls on a 200-line file, "
+                     "median of 1 runs each:")
+    assert header.split() == ["call", "wall", "peak", "RSS", "scipy"]
+    rows = [PROC_LINE.match(line).groups() for line in lines]
+    assert [(call, scipy) for call, _, _, scipy in rows] == [
+        ("estimate gamma", "no"),
+        ("test gamma 2 3 --sigma exact-moments", "no"),
+        ("test gamma 2 3 --sigma exact-quadrature", "yes"),
+        ("test gamma 2 3 --sigma plugin", "no"),
+        ("simulate gamma 2 3 --n 200 -B 400 --seed 1", "no")]
+    assert all(float(ms) > 0.0 and float(mb) > 0.0 for _, ms, mb, _ in rows)

@@ -3,6 +3,7 @@ goes: process CPU of each phase, measured in this process.
 
     python tools/split.py [--n N] [--replications B] [--rounds R]
     python tools/split.py --cli [--rounds R]
+    python tools/split.py --proc [--rounds R]
 
 Without ``--cli`` it runs one warm-up cycle and then R timed cycles
 (defaults: n = 200, B = 400, R = 10).  A cycle is one study of each of
@@ -35,6 +36,14 @@ process CPU per study, or per call, with its share of the whole; a phase
 includes the phases indented under it, and ``repr`` overlaps ``qq``.
 Unlike a profiler, the wrappers add two clock reads per call and nothing
 per Python call inside a phase, so pure-Python phases are not inflated.
+
+With ``--proc`` it measures what a user waits for instead: whole ``momest``
+calls, each in a fresh interpreter that runs ``cli.main`` the way the
+console script does.  It writes a 200-line Gamma(2, 3) sample file and runs
+``estimate``, ``test`` with each Σ route, and ``simulate`` with the default
+Σ (n = 200, B = 400), one after another, R times (default R = 9).  Each
+line gives a call's median wall time, as seen from this process, its median
+peak RSS, and whether scipy was loaded when it returned.
 """
 
 from __future__ import annotations
@@ -42,7 +51,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -51,7 +63,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from momest import (LawSpec, SigmaMethod, SimulationConfig,  # noqa: E402
                     cli, montecarlo, reportio, rng, sample)
@@ -78,6 +91,24 @@ CLI_WRAPPED = {"parse": ("_parse_alone",), "read_sample": ("read_sample",),
                "tests": ("marginal_test", "omnibus_test"),
                "json output": ("_emit",)}
 CLI_PHASES = (("call", 0), *((phase, 1) for phase in CLI_WRAPPED))
+
+#: The ``--proc`` calls: the arguments after ``momest``, less the sample
+#: file (``--input``) or the bundle directory (``--out``, for ``simulate``).
+PROC_CALLS = (("estimate", "gamma"),
+              *(("test", "gamma", "2", "3", "--sigma", route.value)
+                for route in CLI_ROUTES),
+              ("simulate", "gamma", "2", "3", "--n", "200", "-B", "400",
+               "--seed", "1"))
+
+#: A fresh interpreter's ``momest`` call; its last line on standard error
+#: is [exit code, peak RSS in KiB, whether scipy is loaded].
+PROC_CHILD = """\
+import json, resource, sys
+from momest.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "scipy" in sys.modules]), file=sys.stderr)
+"""
 
 
 class _Clock:
@@ -192,6 +223,48 @@ def split_cli(rounds: int) -> None:
                         CLI_PHASES, cli_calls(clock, rounds, route, path))
 
 
+def proc_call(argv: list, env: dict) -> tuple:
+    """(wall seconds, peak RSS in KiB, scipy loaded) of one ``momest``
+    call in a fresh interpreter."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PROC_CHILD, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, env=env)
+    wall = time.perf_counter() - start
+    try:
+        code, rss_kib, scipy = json.loads(proc.stderr.splitlines()[-1])
+    except (ValueError, IndexError):
+        code = None
+    if proc.returncode != 0 or code not in (cli.EXIT_OK, cli.EXIT_REJECT):
+        raise SystemExit(f"momest {' '.join(argv)} failed:\n{proc.stderr}")
+    return wall, rss_kib, scipy
+
+
+def split_proc(rounds: int) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    runs = {call: [] for call in PROC_CALLS}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "gamma.txt")
+        values = sample(LawSpec.gamma(2.0, 3.0), 200, seed=2112)
+        Path(path).write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        for _ in range(rounds):
+            for call in PROC_CALLS:
+                where = (["--out", str(Path(tmp) / "out")]
+                         if call[0] == "simulate" else ["--input", path])
+                runs[call].append(proc_call([*call, *where], env))
+    print(f"fresh-process momest calls on a 200-line file, median of "
+          f"{rounds} runs each:")
+    print(f"{'call':<44}{'wall':>10} {'peak RSS':>11}  scipy")
+    for call, got in runs.items():
+        wall = statistics.median(w for w, _, _ in got)
+        rss = statistics.median(r for _, r, _ in got) / 1024.0
+        scipy = "yes" if any(s for _, _, s in got) else "no"
+        print(f"{' '.join(call):<44}{1e3 * wall:7.1f} ms {rss:8.1f} MB  "
+              f"{scipy}")
+
+
 def split_studies(n: int, replications: int, rounds: int) -> None:
     clock = _Clock()
     instrument(clock)
@@ -208,16 +281,23 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--cli", action="store_true",
                    help="split one 'momest test' call instead of a study")
+    p.add_argument("--proc", action="store_true",
+                   help="time whole 'momest' calls in fresh interpreters")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--replications", type=int, default=400)
     p.add_argument("--rounds", type=int, default=None,
-                   help="timed cycles (default 10), or calls per route "
-                        "with --cli (default 400)")
+                   help="timed cycles (default 10), calls per route with "
+                        "--cli (default 400), or runs per call with --proc "
+                        "(default 9)")
     args = p.parse_args(argv)
     if args.rounds is not None and args.rounds < 1:
         p.error("--rounds must be >= 1")
+    if args.cli and args.proc:
+        p.error("--cli and --proc exclude each other")
     if args.cli:
         split_cli(args.rounds or 400)
+    elif args.proc:
+        split_proc(args.rounds or 9)
     else:
         split_studies(args.n, args.replications, args.rounds or 10)
     return 0
