@@ -471,16 +471,21 @@ def cmd_simulate(args) -> int:
                            sigma_methods=tuple(args.sigma_methods))
     outdir = Path(args.out or os.environ.get("MOMEST_OUTDIR")
                   or "momest-report")
-    for part in (outdir, *outdir.parents):
-        if part.exists() and not part.is_dir():
-            raise MomestError(f"cannot write the report to {outdir}: {part} "
-                              f"is not a directory")
-    for name in FILE_NAMES:
-        if (outdir / name).is_dir():
-            raise MomestError(f"cannot write the report to {outdir}: "
-                              f"{outdir / name} is a directory")
+    refusal = f"cannot write the report to {outdir}"
+    try:  # a name too long raises from exists() and is_dir()
+        for part in (outdir, *outdir.parents):
+            if part.exists() and not part.is_dir():
+                raise MomestError(f"{refusal}: {part} is not a directory")
+        for name in FILE_NAMES:
+            if (outdir / name).is_dir():
+                raise MomestError(f"{refusal}: {outdir / name} is a directory")
+    except OSError as exc:
+        raise MomestError(f"{refusal}: {exc}") from None
     report = run_simulation(cfg, workers=args.workers)
-    paths = write_report(report, outdir)
+    try:  # a full disk, no permission
+        paths = write_report(report, outdir)
+    except OSError as exc:
+        raise MomestError(f"{refusal}: {exc}") from None
     print(f"{law}  n={cfg.n}  replications={cfg.replications}  "
           f"seed={cfg.master_seed}  mode={cfg.coefficient_mode.value}")
     print(f"feasible={report.feasible}  infeasible={report.infeasible_count}")

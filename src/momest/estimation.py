@@ -48,11 +48,11 @@ class ParamEstimate:
 def empirical_moments(sample) -> EmpiricalMoments:
     """Mean, mean of squares and both variance flavors of ``sample``.
 
-    Uses the two-pass variance so that var_biased >= 0 holds exactly;
-    mean_sq is reconstructed as var_biased + mean^2, keeping the identity
-    between the three fields exact in floating point.  Non-finite values,
-    and finite values too large for a moment to stay finite, raise
-    :class:`DomainError`.
+    The mean and var_biased are ``np.mean`` and ``np.var``, whose two-pass
+    variance keeps var_biased >= 0 exactly; mean_sq is reconstructed as
+    var_biased + mean^2, keeping the identity between the three fields
+    exact in floating point.  Non-finite values, and finite values too
+    large for a moment to stay finite, raise :class:`DomainError`.
     """
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
@@ -61,7 +61,7 @@ def empirical_moments(sample) -> EmpiricalMoments:
             f"need at least 2 observations, got {n}")
     _require_finite(x)
     with np.errstate(over="ignore"):  # reported below by name
-        mean, var_biased = (float(v[0]) for v in _row_moments(x[None, :]))
+        mean, var_biased = float(np.mean(x)), float(np.var(x))
     mean_sq, var_unbiased = _derived(mean, var_biased, n)
     moments = {"mean": mean, "var_biased": var_biased, "mean_sq": mean_sq,
                "var_unbiased": var_unbiased}
@@ -81,16 +81,6 @@ def _require_finite(x: np.ndarray) -> None:
         raise DomainError(
             f"sample has {bad.size} non-finite value(s), the first at "
             f"index {bad[0]}")
-
-
-def _row_moments(x: np.ndarray) -> tuple:
-    """Mean and biased two-pass variance of every row of ``x``, bit for bit
-    ``np.mean`` and ``np.var``, sharing the first pass."""
-    n = x.shape[1]
-    mean = np.add.reduce(x, axis=1) / n
-    dev = x - mean[:, None]
-    dev *= dev
-    return mean, np.add.reduce(dev, axis=1) / n
 
 
 def _derived(mean, var_biased, n: int):
@@ -114,7 +104,8 @@ def estimate_rows(kind: LawKind, x) -> tuple:
 
     Returns (a_hat, b_hat, feasible): ``feasible`` marks the rows on which
     :func:`estimate` succeeds, and a_hat/b_hat hold those rows' estimates
-    in row order, bit for bit ``estimate(kind, empirical_moments(row))``.
+    in row order, bit for bit ``estimate(kind, empirical_moments(row))``:
+    both take a row's moments from ``np.mean`` and ``np.var``.
     """
     family = _family(kind)
     x = np.asarray(x, dtype=float)
@@ -122,7 +113,7 @@ def estimate_rows(kind: LawKind, x) -> tuple:
     if n < 2:
         raise InsufficientDataError(
             f"need at least 2 observations, got {n}")
-    mean, var_biased = _row_moments(x)
+    mean, var_biased = np.mean(x, axis=1), np.var(x, axis=1)
     terms = (mean, *_derived(mean, var_biased, n), var_biased)
     checks = family.conditions(*terms)
     feasible = checks[0][0]

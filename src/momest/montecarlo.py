@@ -19,12 +19,11 @@ Reports are bit-identical for identical configurations regardless of the
 worker count: replication j depends only on its own substream, and the
 records of row blocks and thread ranges merge in replication order.
 
-Three things outlive a study, so that a process running many studies (a
+Two things outlive a study, so that a process running many studies (a
 sweep over n and seeds) pays for them once: the influence pair and the
 exact-route Σs of a law, memoized per (law, coefficient mode, exact routes),
-the spare row-block workspaces that replication ranges take and give back,
-and the normal quantiles of a qq plot, memoized per value count.  None
-changes a report bit.
+and the spare row-block workspaces that replication ranges take and give
+back.  Neither changes a report bit.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .errors import (DegenerateSampleError, DomainError,
 from .estimation import _require_finite, estimate_rows
 from .laws import LawSpec, _member, sample_rows
 from .rng import Workspace, _substream_seeds
-from .significance import (Z_CRIT, _marginal_z, _omnibus_core, _rejects,
+from .significance import (Q_CRIT, Z_CRIT, _marginal_z, _omnibus_q,
                            _usable_variance, det_floor)
 from .special import normal_quantile
 
@@ -398,9 +397,12 @@ def _rates(law: LawSpec, n: int, a_hat: np.ndarray, b_hat: np.ndarray,
     """Marginal and omnibus rates: the share of the estimates on which each
     test of ``momest test`` rejects at 5%, keyed by each Σ's method in the
     order given; nan for a variance entry that is not positive and finite,
-    None for a Σ too close to singular.  A marginal rejection is counted as
-    |z| >= :data:`~momest.significance.Z_CRIT`, the same decision as its
-    p-value below 5%, without a p-value per estimate."""
+    None for a Σ too close to singular.  A rejection is counted as
+    |z| >= :data:`~momest.significance.Z_CRIT` or
+    Q >= :data:`~momest.significance.Q_CRIT`, the decision of
+    :func:`~momest.significance.marginal_test` and
+    :func:`~momest.significance.omnibus_test`; no p-value is computed, and
+    a NaN Q raises :class:`DomainError`."""
     marginal, omnibus = {}, {}
     for sig in sigmas:
         tag = sig.method.value
@@ -413,8 +415,8 @@ def _rates(law: LawSpec, n: int, a_hat: np.ndarray, b_hat: np.ndarray,
             marginal[f"{param}:{tag}"] = rate
         rate = None
         if sig.det > det_floor(sig):
-            _, p = _omnibus_core(a_hat, b_hat, law.p1, law.p2, n, sig)
-            rate = float(np.mean(_rejects(p)))
+            q = _omnibus_q(a_hat, b_hat, law.p1, law.p2, n, sig)
+            rate = float(np.mean(q >= Q_CRIT))
         omnibus[tag] = rate
     return marginal, omnibus
 
@@ -430,14 +432,10 @@ def _figure_values(values, too_few: str) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=8)
 def _normal_scores(m: int) -> np.ndarray:
     """The normal quantiles at (i - 1/2)/m, i = 1..m, the theoretical
-    column of a qq plot of m values.  They depend on m alone, so a process
-    computes them once per m; the array is shared and read-only."""
-    scores = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
-    scores.flags.writeable = False
-    return scores
+    column of a qq plot of m values."""
+    return normal_quantile((np.arange(1, m + 1) - 0.5) / m)
 
 
 def qq_plot_data(values) -> np.ndarray:

@@ -67,13 +67,9 @@ def _score_cells(m: int) -> tuple[str, ...]:
     return tuple(_cells(_normal_scores(m)))
 
 
-#: The x column of both Parzen files: 201 points on [-4, 4].
+#: The x column of both Parzen files: 201 points on [-4, 4], and its cells.
 _GRID = np.linspace(-4.0, 4.0, 201)
-
-
-@lru_cache(maxsize=1)
-def _grid_cells() -> tuple[str, ...]:
-    return tuple(_cells(_GRID))
+_GRID_CELLS = tuple(_cells(_GRID))
 
 
 def _csv(header: str, rows) -> str:
@@ -173,8 +169,8 @@ def write_report(report: SimulationReport, outdir) -> list[Path]:
         "sigma,rate", [[key, "" if rate is None else _num(rate)]
                        for key, rate in report.omnibus_rates.items()])
     # both deviation arrays hold one value per feasible replication, so the
-    # qq files share their quantile column and the parzen files their grid;
-    # the caches render each once per process
+    # qq files share their quantile column and the parzen files their grid,
+    # each rendered once per process
     for param, dev in (("a", report.dev_a), ("b", report.dev_b)):
         sd = float(np.std(dev, ddof=1))
         std = _figure_values(dev / sd if sd > 0.0 else dev,
@@ -182,7 +178,7 @@ def write_report(report: SimulationReport, outdir) -> list[Path]:
         files[f"qq_{param}.csv"] = _csv("theoretical,empirical", zip(
             _score_cells(std.size), _cells(np.sort(std))))
         files[f"parzen_{param}.csv"] = _csv("x,density", zip(
-            _grid_cells(), _cells(_density(std, _GRID))))
+            _GRID_CELLS, _cells(_density(std, _GRID))))
     files["report.json"] = render_json(report_to_dict(report))
 
     if report.ratios is None:

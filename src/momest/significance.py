@@ -1,10 +1,12 @@
 """Marginal Gaussian tests per parameter and the joint omnibus chi-square
 test on both: ``momest test`` runs them on one estimate, the Monte-Carlo
-harness on arrays of estimates, and both reject when p < ALPHA, strictly.
+harness on arrays of estimates.
 
-The harness needs the decision only.  A marginal test rejects exactly when
-|z| >= :data:`Z_CRIT`, so it counts rejections without computing a
-p-value per estimate."""
+Each test rejects at 5% by one comparison of its statistic with a critical
+value, |z| >= :data:`Z_CRIT` or Q >= :data:`Q_CRIT`.  Each critical value
+is the least double whose p-value is below ALPHA, so the comparison makes
+the decision of the p-value to the last bit.  The harness therefore
+computes no p-value; a :class:`TestReport` carries one for display."""
 
 from __future__ import annotations
 
@@ -27,6 +29,11 @@ ALPHA = 0.05
 #: non-increasing in |z| there, and a NaN z rejects neither way.
 Z_CRIT = 1.9599639845400545
 
+#: The least double q whose chi-square(2) p-value chisq_sf(q, 2) is below
+#: ALPHA: the omnibus test rejects exactly when Q >= Q_CRIT.  At the double
+#: just below it the p-value is 0.05000000000000001, which does not reject.
+Q_CRIT = 5.991464547107983
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -45,19 +52,19 @@ def _marginal_z(theta_hat, theta0: float, var_entry: float, n: int):
     return (n / var_entry) ** 0.5 * (theta_hat - theta0)
 
 
-def _omnibus_core(a_hat, b_hat, a0: float, b0: float, n: int,
-                  sigma: Covariance2):
-    """Q, clipped at 0, and its chi-square(2) p-value, elementwise."""
+def _omnibus_q(a_hat, b_hat, a0: float, b0: float, n: int,
+               sigma: Covariance2):
+    """Q, clipped at 0, elementwise.  A NaN Q, from a quadratic form that
+    overflowed, raises :class:`DomainError`: it would accept silently."""
     da = a_hat - a0
     db = b_hat - b0
     q = (n / sigma.det) * (sigma.s22 * da * da + sigma.s11 * db * db
                            - 2.0 * sigma.s12 * da * db)
     q = np.maximum(q, 0.0)
-    return q, chisq_sf(q, 2)
-
-
-def _rejects(p):
-    return p < ALPHA
+    if np.isnan(q).any():
+        raise DomainError("omnibus statistic Q is NaN: the quadratic form "
+                          "of the estimates overflowed")
+    return q
 
 
 def _need_finite(test: str, **values: float) -> None:
@@ -88,9 +95,9 @@ def marginal_test(theta_hat: float, theta0: float, var_entry: float,
         raise DomainError(f"marginal test requires n >= 2, got {n}")
     _need_finite("marginal test", theta_hat=theta_hat, theta0=theta0)
     z = _marginal_z(theta_hat, theta0, var_entry, n)
-    p = 2.0 * normal_sf(np.abs(z))
-    return TestReport(statistic=float(z), df=0, p_value=float(p),
-                      reject_at_5pct=bool(_rejects(p)),
+    return TestReport(statistic=float(z), df=0,
+                      p_value=float(2.0 * normal_sf(np.abs(z))),
+                      reject_at_5pct=bool(np.abs(z) >= Z_CRIT),
                       sigma_method=sigma_method)
 
 
@@ -115,7 +122,8 @@ def omnibus_test(a_hat: float, b_hat: float, a0: float, b0: float,
         raise SingularCovarianceError(
             f"covariance too close to singular for a joint test "
             f"(det={sigma.det}, floor={det_floor(sigma)})")
-    q, p = _omnibus_core(a_hat, b_hat, a0, b0, n, sigma)
-    return TestReport(statistic=float(q), df=2, p_value=float(p),
-                      reject_at_5pct=bool(_rejects(p)),
+    q = _omnibus_q(a_hat, b_hat, a0, b0, n, sigma)
+    return TestReport(statistic=float(q), df=2,
+                      p_value=float(chisq_sf(q, 2)),
+                      reject_at_5pct=bool(q >= Q_CRIT),
                       sigma_method=sigma.method.value)

@@ -939,6 +939,42 @@ class TestSimulate:
         assert str(out) in err and "not a directory" in err
         assert afile.read_text() == "kept\n"
 
+    def test_out_name_too_long_refused_before_the_study(
+            self, capsys, tmp_path, monkeypatch):
+        """``Path.exists`` raises ENAMETOOLONG rather than returning
+        False; the call still ends in one typed line naming the
+        directory."""
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(momest.cli, "run_simulation", no_study)
+        out = tmp_path / ("x" * 300) / "out"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "gamma", "2", "3", "--n", "20", "-B", "10",
+            "--seed", "1", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write the report to {out}: ")
+        assert err.count("\n") == 1 and "File name too long" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_is_a_typed_error(self, capsys, tmp_path,
+                                           monkeypatch):
+        """An OSError of the writes (a full disk, no permission) ends in
+        one line naming the directory, not a traceback."""
+        def full_disk(report, outdir):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(momest.cli, "write_report", full_disk)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "gamma", "2", "3", "--n", "20", "-B", "10",
+            "--seed", "1", "--out", str(out))
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert err == (f"error: cannot write the report to {out}: "
+                       f"[Errno 28] No space left on device\n")
+
     @pytest.mark.parametrize("name", FILE_NAMES)
     def test_bundle_file_name_that_is_a_directory_refused_before_the_study(
             self, capsys, tmp_path, monkeypatch, name):

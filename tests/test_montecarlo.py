@@ -20,7 +20,7 @@ from momest import (CoefficientMode, Covariance2, DegenerateSampleError,
                     omnibus_test, parzen_density, qq_plot_data, ratio_table,
                     run_simulation, sample, sigma_for, substream_seed,
                     write_report)
-from momest import asymptotics, cli, montecarlo
+from momest import asymptotics, cli, montecarlo, significance
 from momest.montecarlo import _aggregate_plugin
 
 GAMMA23 = LawSpec.gamma(2.0, 3.0)
@@ -453,9 +453,9 @@ class TestQQPlot:
             qq_plot_data([0.0])
 
     def test_returned_array_is_the_callers_own(self):
-        """The quantile column is computed once per size and shared; an
-        array a call returned can be written without moving the next
-        call's bits."""
+        """An array a call returned can be written without moving the
+        next call's bits: no call hands out a column another call
+        shares."""
         values = [0.3, -1.2, 2.0, 0.7]
         first = qq_plot_data(values)
         want = first.tobytes()
@@ -635,6 +635,20 @@ class TestRatesAreTheCliTests:
                 assert report.omnibus_rates[tag] is None
             else:
                 assert report.omnibus_rates[tag] == np.mean(decisions)
+
+    def test_a_study_computes_no_p_value(self, monkeypatch):
+        """The rates compare each statistic with its critical value, so a
+        study with every Σ route runs with the p-value functions gone."""
+        def no_p_value(*args):
+            raise AssertionError("a study computed a p-value")
+
+        monkeypatch.setattr(significance, "normal_sf", no_p_value)
+        monkeypatch.setattr(significance, "chisq_sf", no_p_value)
+        report = run_simulation(RATE_STUDIES[0])
+        assert list(report.omnibus_rates) == [m.value for m in SigmaMethod]
+        assert None not in report.omnibus_rates.values()
+        with pytest.raises(AssertionError, match="computed a p-value"):
+            omnibus_test(2.0, 3.0, 2.0, 3.0, 30, report.sigma_exact)
 
     def test_singular_plugin_case_is_reached(self):
         report = run_simulation(RATE_STUDIES[-1])

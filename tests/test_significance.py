@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from momest import (Covariance2, DomainError, LawSpec, SigmaMethod,
                     SimulationConfig, SingularCovarianceError, marginal_test,
                     normal_quantile, omnibus_test, run_simulation)
-from momest.significance import ALPHA, Z_CRIT
+from momest import montecarlo
+from momest.significance import ALPHA, Q_CRIT, Z_CRIT
+from momest.special import chisq_sf
 
 IDENTITY = Covariance2.build(1.0, 1.0, 0.0, SigmaMethod.EXACT_MOMENTS)
 
@@ -116,6 +118,65 @@ class TestCriticalZ:
             rng.uniform(-40.0, 40.0, 500_000),
             [math.inf, -math.inf, math.nan, 0.0, -0.0]])
         self.assert_same_decisions(z, ndtr)
+
+
+class TestCriticalQ:
+    """The omnibus test and the harness reject when Q >= Q_CRIT; that must
+    be the decision of the p-value that ``momest test`` prints."""
+
+    @staticmethod
+    def assert_same_decisions(q):
+        assert np.array_equal(q >= Q_CRIT, chisq_sf(q, 2) < ALPHA)
+
+    def test_least_double_below_5pct(self):
+        below = np.nextafter(Q_CRIT, 0.0)
+        assert chisq_sf(Q_CRIT, 2) < ALPHA
+        assert not chisq_sf(below, 2) < ALPHA
+
+    def test_same_decisions_near_the_edge(self):
+        steps = np.arange(-2 ** 19, 2 ** 19 + 1)
+        q = (np.float64(Q_CRIT).view(np.int64) + steps).view(np.float64)
+        self.assert_same_decisions(q)
+        for chunk in np.array_split(q[2 ** 19 - 3000:2 ** 19 + 3000], 2000):
+            self.assert_same_decisions(chunk)  # three values each
+        for value in q[2 ** 19 - 300:2 ** 19 + 300]:
+            self.assert_same_decisions(np.array(value))  # 0-d
+
+    def test_same_decisions_on_random_q(self):
+        rng = np.random.default_rng(32)
+        q = np.concatenate([
+            rng.chisquare(2, 1_000_000),
+            rng.uniform(0.0, 1500.0, 500_000),
+            [0.0, -0.0, math.inf]])
+        self.assert_same_decisions(q)
+
+    def test_omnibus_test_decides_at_the_edge(self):
+        """With the identity Σ and b_hat = b0, Q = n a_hat^2 here exactly
+        at Q_CRIT (n = 2) and at the double below it (n = 4)."""
+        below = float(np.nextafter(Q_CRIT, 0.0))
+        at = omnibus_test(math.sqrt(Q_CRIT / 2), 0.0, 0.0, 0.0, 2, IDENTITY)
+        assert at.statistic == Q_CRIT and at.reject_at_5pct
+        assert at.p_value < ALPHA
+        under = omnibus_test(math.sqrt(below / 4), 0.0, 0.0, 0.0, 4,
+                             IDENTITY)
+        assert under.statistic == below and not under.reject_at_5pct
+        assert under.p_value == chisq_sf(below, 2) > ALPHA
+
+    def test_nan_q_refused_by_the_test(self):
+        """Finite estimates whose quadratic form overflows give
+        Q = inf - inf = nan, which would accept; it is refused by name."""
+        with pytest.raises(DomainError, match="^omnibus statistic Q is NaN"):
+            omnibus_test(1e200, 1e200, 0.0, 0.0, 100, cov(1.0, 1.0, 0.5))
+
+    def test_nan_q_refused_by_the_harness(self):
+        """An overflowed estimate fails the study rather than counting as
+        an acceptance."""
+        a_hat = np.array([2.1, math.inf, 1.9])
+        b_hat = np.array([3.2, 3.0, 2.8])
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+                DomainError, match="^omnibus statistic Q is NaN"):
+            montecarlo._rates(LawSpec.gamma(2.0, 3.0), 100, a_hat, b_hat,
+                              [cov(12.0, 30.0, 15.0)])
 
 
 class TestOmnibus:
